@@ -3,9 +3,8 @@ package aplus
 // Public aggregate API: COUNT/SUM/MIN/MAX over an integer vertex property,
 // evaluated with factorized aggregate pushdown (see internal/exec/agg.go).
 // Aggregates route through the same machinery as counts — governance,
-// admission, the plan cache, morsel parallelism with work stealing, and
-// shard fan-out — and their match count and i-cost are bit-identical to
-// full enumeration.
+// admission, the plan cache, and morsel parallelism with work stealing —
+// and their match count and i-cost are bit-identical to full enumeration.
 
 import (
 	"context"
@@ -48,8 +47,8 @@ func ParseAggFunc(s string) (AggFunc, error) {
 // missing or non-integer are NULLs: they count toward Rows but contribute
 // nothing to Value; Valid reports whether any non-null value was seen
 // (always true for AggCount). Aggregates are integer-exact — any
-// partitioning of the work across workers, stolen sub-morsels, or shards
-// yields a bit-identical AggValue.
+// partitioning of the work across workers or stolen sub-morsels yields a
+// bit-identical AggValue.
 type AggValue struct {
 	// Rows is the number of matches.
 	Rows int64
@@ -57,31 +56,6 @@ type AggValue struct {
 	Value int64
 	// Valid reports whether Value is meaningful (some non-null input).
 	Valid bool
-}
-
-// Merge folds another partition's aggregate (same query, same function)
-// into v — exact for every AggFunc: counts and sums add, extrema compare,
-// validity ORs. The shard fan-out uses it for the cross-shard merge.
-func (v *AggValue) Merge(fn AggFunc, o AggValue) {
-	v.Rows += o.Rows
-	switch fn {
-	case AggCount:
-		v.Value += o.Value
-		v.Valid = true
-	case AggSum:
-		v.Value += o.Value
-		v.Valid = v.Valid || o.Valid
-	case AggMin:
-		if o.Valid && (!v.Valid || o.Value < v.Value) {
-			v.Value = o.Value
-		}
-		v.Valid = v.Valid || o.Valid
-	case AggMax:
-		if o.Valid && (!v.Valid || o.Value > v.Value) {
-			v.Value = o.Value
-		}
-		v.Valid = v.Valid || o.Valid
-	}
 }
 
 // Aggregate evaluates fn over the matches of cypher: AggCount counts them;

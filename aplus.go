@@ -90,14 +90,6 @@ type EdgeID = storage.EdgeID
 // Props carries property values for loading: int/int64/float64/string/bool.
 type Props map[string]any
 
-// ShardSpec identifies a database's slot in a K-way hash-partitioned
-// cluster: Index in [0, Of). See DB.Shard. Field-compatible with the exec
-// layer's spec; the hash is Fibonacci multiplicative on the vertex ID.
-type ShardSpec struct {
-	Index int
-	Of    int
-}
-
 // PlannerOptions restrict the optimizer's plan space; the zero value is the
 // full A+ plan space. They exist for experiments that emulate systems with
 // fixed adjacency-list indexes.
@@ -196,14 +188,6 @@ type DB struct {
 	// i-cost, rows, governance outcome, and the physical plan. The plan is
 	// rendered only for slow queries, never on the fast path.
 	SlowQueryLog *slog.Logger
-
-	// Shard, when Of > 1, marks this database as one full replica in a
-	// K-way hash-partitioned cluster and restricts every query's root scan
-	// to the vertices (or, for edge-rooted plans, edge sources) it owns.
-	// The serving layer (internal/shard) sets it so per-shard counts,
-	// i-cost, and PredEvals sum bit-identically to an unsharded run; the
-	// zero value disables filtering. Set it before issuing queries.
-	Shard ShardSpec
 
 	// PlanCacheSize caps the compiled-plan cache shared by every read
 	// (0 = DefaultPlanCacheSize, negative disables caching). The cache is
@@ -647,9 +631,7 @@ func (db *DB) planSnap(s *snap.Snapshot, cypher string) (*exec.Plan, *exec.Runti
 	if err != nil {
 		return nil, nil, err
 	}
-	rt := exec.NewRuntimeOver(s.Store(), s.Graph(), s.Delta())
-	rt.Shard = exec.ShardSpec(db.Shard)
-	return plan, rt, nil
+	return plan, exec.NewRuntimeOver(s.Store(), s.Graph(), s.Delta()), nil
 }
 
 // planFor returns a compiled plan for cypher, consulting the plan cache.
@@ -810,9 +792,9 @@ type Stats struct {
 	QueriesPanicked int64
 	LastQueryPanic  string
 
-	// Latency histograms (log-bucketed p50/p95/p99, mergeable across
-	// shards): end-to-end governed-read latency, admission-gate wait, WAL
-	// fsync time (durable databases only), and delta-fold duration.
+	// Latency histograms (log-bucketed p50/p95/p99): end-to-end
+	// governed-read latency, admission-gate wait, WAL fsync time (durable
+	// databases only), and delta-fold duration.
 	QueryLatency  LatencyStats
 	AdmissionWait LatencyStats
 	WALFsync      LatencyStats

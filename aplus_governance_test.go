@@ -274,7 +274,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 
 	db.injectWorkerFault = func(w int) {
-		if w == db.workers()-1 {
+		if w == 0 {
 			panic("governance test fault")
 		}
 	}

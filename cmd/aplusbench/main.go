@@ -11,13 +11,11 @@
 //	aplusbench -durable /tmp/db
 //	aplusbench -faults 24
 //	aplusbench -governed
-//	aplusbench -served
 //
 // Experiments: table1, table2, table3, table4, table5, maintenance,
-// parallel, hubskew, mixed, merge, durability, faults, governed, served, all
-// ("all" excludes mixed, merge, durability, faults, governed, and served,
-// whose rows are
-// scheduling- or hardware-dependent — or pass/fail rather than a
+// parallel, hubskew, mixed, merge, durability, faults, governed, all
+// ("all" excludes mixed, merge, durability, faults, and governed, whose
+// rows are scheduling- or hardware-dependent — or pass/fail rather than a
 // measurement — and therefore unsuitable for -baseline gating).
 //
 // -merge (or -exp merge) measures delta-fold cost on the largest bench
@@ -41,14 +39,6 @@
 // disk-op sites (0 = every site), asserting recovery is bit-identical to
 // the last acknowledged commit and degraded mode engages exactly when a
 // commit's WAL fsync fails. Any violated invariant panics.
-//
-// -served (or -exp served) measures the sharded serving layer: a remote
-// triangle count over the aplusd wire protocol on TCP loopback vs the
-// same count on an embedded database with identical data (parity of
-// counts and i-cost is asserted first), plus the compiled-plan cache's
-// cold-vs-warm speedup on the served path. Loopback RTT and scheduler
-// noise dominate these rows, so they are advisory and excluded from
-// -baseline gating.
 //
 // -governed (or -exp governed) measures query governance through the
 // public API: the runtime overhead of the armed governor (cancel checks
@@ -93,11 +83,10 @@ import (
 	"github.com/aplusdb/aplus/internal/faultsweep"
 	"github.com/aplusdb/aplus/internal/govbench"
 	"github.com/aplusdb/aplus/internal/harness"
-	"github.com/aplusdb/aplus/internal/servedbench"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|table2|table3|table4|table5|maintenance|parallel|hubskew|mixed|merge|durability|faults|governed|served|all")
+	exp := flag.String("exp", "all", "experiment: table1|table2|table3|table4|table5|maintenance|parallel|hubskew|mixed|merge|durability|faults|governed|all")
 	scale := flag.Float64("scale", 1.0, "dataset scale multiplier")
 	verify := flag.Bool("verify", true, "cross-check counts across configurations")
 	workers := flag.Int("workers", 0, "query worker-pool size (0 = serial, N = morsel-driven with N workers)")
@@ -110,7 +99,6 @@ func main() {
 	durable := flag.String("durable", "", "run the durable storage-engine experiment in this directory (shorthand for -exp durability; \"tmp\" = throwaway temp dir)")
 	faultSites := flag.Int("faults", -1, "run the crash/fault-injection sweep over this many evenly-sampled disk-op sites, 0 = all (shorthand for -exp faults)")
 	governed := flag.Bool("governed", false, "run the query-governance overhead and cancellation-latency experiment (shorthand for -exp governed)")
-	served := flag.Bool("served", false, "run the serving-layer experiment: remote vs embedded latency and plan-cache speedup (shorthand for -exp served)")
 	mixedReaders := flag.Int("mixed-readers", 8, "mixed: reader goroutines")
 	mixedWriters := flag.Int("mixed-writers", 1, "mixed: writer goroutines committing batches")
 	mixedBatch := flag.Int("mixed-batch", 64, "mixed: ops per committed batch")
@@ -132,9 +120,6 @@ func main() {
 	}
 	if *governed {
 		*exp = "governed"
-	}
-	if *served {
-		*exp = "served"
 	}
 
 	var baseRows []harness.Row
@@ -174,7 +159,6 @@ func main() {
 		"durability":  harness.Durability,
 		"faults":      faultsweep.FaultSweep,
 		"governed":    govbench.Governed,
-		"served":      servedbench.Served,
 	}
 	var rows []harness.Row
 	if *exp == "all" {

@@ -4,9 +4,9 @@
 // with flags). With -db <dir> it opens a durable database instead: every
 // write is crash-safe before the prompt returns, and the same directory
 // reopens to the same state in the next session. With -connect <addr> it
-// drives a remote aplusd cluster over TCP with the same REPL: queries fan
-// out across the server's shards, Ctrl-C cancels in-flight remote queries,
-// and governance errors carry the same meanings. It accepts:
+// drives a remote aplusd over TCP with the same REPL: Ctrl-C cancels
+// in-flight remote queries, and governance errors carry the same meanings.
+// It accepts:
 //
 //	MATCH ...                     run a query, print the match count
 //	RECONFIGURE PRIMARY INDEXES   index DDL
@@ -27,8 +27,6 @@
 //	:stats                        database, index, durability, plan-cache,
 //	                              query governance counters, and latency
 //	                              histograms (query, admission, fsync, fold)
-//	:shards                       per-shard epoch, WAL, and governance
-//	                              counters (one line in local sessions)
 //	:health                       durability health: degraded mode, last
 //	                              WAL/checkpoint errors, retry backoff,
 //	                              latency percentiles, and the last query
@@ -80,8 +78,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("aplus shell — remote %s (%d shards, %d vertices, %d edges). Type :quit to exit.\n",
-			*connect, cl.NumShards(), st.NumVertices, st.NumEdges)
+		fmt.Printf("aplus shell — remote %s (%d vertices, %d edges). Type :quit to exit.\n",
+			*connect, st.NumVertices, st.NumEdges)
 	case *dbDir != "":
 		db, err := aplus.Open(*dbDir)
 		if err != nil {
@@ -134,7 +132,7 @@ func main() {
 var errQuit = fmt.Errorf("quit")
 
 // backend abstracts the shell over an embedded database and a remote
-// cluster: same REPL, same governance semantics, swapped transport.
+// server: same REPL, same governance semantics, swapped transport.
 type backend interface {
 	CountProfiledLimited(ctx context.Context, q string, l aplus.QueryLimits) (int64, aplus.Metrics, error)
 	QueryLimited(ctx context.Context, q string, l aplus.QueryLimits, fn func(aplus.Row) bool) error
@@ -147,18 +145,11 @@ type backend interface {
 	AddEdge(src, dst aplus.VertexID, label string, props aplus.Props) (aplus.EdgeID, error)
 	Advise(workload []string, budgetBytes int64) ([]aplus.Recommendation, error)
 	Stats() (aplus.Stats, error)
-	Shards() (shardsInfo, error)
 	Close() error
 }
 
-type shardsInfo struct {
-	per      []aplus.Stats
-	diverged bool
-	cause    string
-}
-
-// localBackend adapts *aplus.DB (everything but Stats/Shards is the DB's
-// own method set).
+// localBackend adapts *aplus.DB (everything but Stats, Analyze, and
+// Aggregate is the DB's own method set).
 type localBackend struct{ *aplus.DB }
 
 func (b localBackend) Stats() (aplus.Stats, error) { return b.DB.Stats(), nil }
@@ -169,10 +160,6 @@ func (b localBackend) Analyze(ctx context.Context, q string, l aplus.QueryLimits
 
 func (b localBackend) Aggregate(ctx context.Context, q string, fn aplus.AggFunc, variable, prop string, l aplus.QueryLimits) (aplus.AggValue, aplus.Metrics, error) {
 	return b.DB.AggregateLimited(ctx, q, fn, variable, prop, l)
-}
-
-func (b localBackend) Shards() (shardsInfo, error) {
-	return shardsInfo{per: []aplus.Stats{b.DB.Stats()}}, nil
 }
 
 // remoteBackend adapts the wire client.
@@ -220,11 +207,6 @@ func (b *remoteBackend) Advise([]string, int64) ([]aplus.Recommendation, error) 
 func (b *remoteBackend) Stats() (aplus.Stats, error) {
 	st, err := b.cl.Stats()
 	return st.Aggregate, err
-}
-
-func (b *remoteBackend) Shards() (shardsInfo, error) {
-	st, err := b.cl.Stats()
-	return shardsInfo{per: st.PerShard, diverged: st.Diverged, cause: st.DivergedCause}, err
 }
 
 func (b *remoteBackend) Close() error { return b.cl.Close() }
@@ -324,21 +306,6 @@ func eval(s *session, line string) error {
 		printHist("admission-wait", st.AdmissionWait)
 		printHist("wal-fsync", st.WALFsync)
 		printHist("fold", st.FoldDuration)
-		return nil
-	case lower == ":shards":
-		info, err := db.Shards()
-		if err != nil {
-			return err
-		}
-		for i, st := range info.per {
-			fmt.Printf("shard %d: epoch=%d vertices=%d edges=%d pending=%d wal=%dB replayed=%d plan-cache(hits=%d misses=%d) queries(in-flight=%d canceled=%d timed-out=%d rejected=%d)\n",
-				i, st.Epoch, st.NumVertices, st.NumEdges, st.PendingWrites,
-				st.WALBytes, st.ReplayedOps, st.PlanCacheHits, st.PlanCacheMisses,
-				st.QueriesInFlight, st.QueriesCanceled, st.QueriesTimedOut, st.QueriesRejected)
-		}
-		if info.diverged {
-			fmt.Printf("DIVERGED (writes disabled): %s\n", info.cause)
-		}
 		return nil
 	case lower == ":health":
 		st, err := db.Stats()
@@ -458,7 +425,7 @@ func eval(s *session, line string) error {
 		fmt.Println("ok")
 		return nil
 	default:
-		return fmt.Errorf("unrecognised input (MATCH ..., DDL, :explain, :analyze, :agg, :rows, :advise, :add, :flush, :stats, :shards, :health, :limits, :quit)")
+		return fmt.Errorf("unrecognised input (MATCH ..., DDL, :explain, :analyze, :agg, :rows, :advise, :add, :flush, :stats, :health, :limits, :quit)")
 	}
 }
 

@@ -179,8 +179,8 @@ func main() {
 	}
 
 	// Every governed read also lands in lock-free latency histograms,
-	// surfaced as log-bucketed quantiles in Stats (and per shard plus
-	// cluster-aggregated on aplusd's -metrics Prometheus endpoint). Setting
+	// surfaced as log-bucketed quantiles in Stats (and on aplusd's -metrics
+	// Prometheus endpoint). Setting
 	// SlowQueryThreshold captures reads over the bar — count, most recent
 	// query with its plan, and a structured slog record when SlowQueryLog
 	// is set (aplusd: -slow-query 250ms).

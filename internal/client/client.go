@@ -2,7 +2,7 @@
 // server, issues requests over one connection, streams query rows to a
 // callback, and translates wire error codes back into the embedded API's
 // errors.Is-matchable sentinels — so code written against aplus.DB ports
-// to a remote cluster by swapping the receiver.
+// to a remote server by swapping the receiver.
 //
 // A Client serializes its requests (one in flight at a time; methods are
 // safe for concurrent use). Context cancellation works mid-query: a
@@ -33,8 +33,6 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-
-	shards int
 }
 
 // Dial connects and performs the `open` handshake.
@@ -53,17 +51,12 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
 	}
-	var open proto.OpenResp
-	if err := c.call(context.Background(), "open", nil, &open); err != nil {
+	if err := c.call(context.Background(), "open", nil, nil); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("aplusd handshake: %w", err)
 	}
-	c.shards = open.Shards
 	return c, nil
 }
-
-// NumShards reports the server's shard count (from the handshake).
-func (c *Client) NumShards() int { return c.shards }
 
 // Close sends `quit` (best effort) and closes the connection.
 func (c *Client) Close() error {
@@ -197,10 +190,9 @@ func (c *Client) CountProfiledLimited(ctx context.Context, q string, limits aplu
 	return resp.N, aplus.Metrics{ICost: resp.ICost, PredEvals: resp.PredEvals, EstimatedICost: resp.EstICost}, err
 }
 
-// Aggregate evaluates a count/sum/min/max aggregate across the cluster
-// (remote DB.AggregateCtx); the merge is exact, so the result is
-// bit-identical to an embedded run over the same data. The merged metrics
-// ride along, as with CountProfiled.
+// Aggregate evaluates a count/sum/min/max aggregate on the server (remote
+// DB.AggregateLimited); the result is bit-identical to an embedded run over
+// the same data. The profiled metrics ride along, as with CountProfiled.
 func (c *Client) Aggregate(ctx context.Context, q string, fn aplus.AggFunc, variable, prop string, limits aplus.QueryLimits) (aplus.AggValue, aplus.Metrics, error) {
 	var resp proto.AggregateResp
 	err := c.call(ctx, "aggregate", proto.AggregateReq{
@@ -283,32 +275,32 @@ func (c *Client) QueryLimited(ctx context.Context, q string, limits aplus.QueryL
 
 func isCanceled(err error) bool { return errors.Is(err, aplus.ErrQueryCanceled) }
 
-// Explain renders the plan the cluster would run.
+// Explain renders the plan the server would run.
 func (c *Client) Explain(q string) (string, error) {
 	var resp proto.ExplainResp
 	err := c.call(context.Background(), "explain", proto.ExplainReq{Q: q}, &resp)
 	return resp.Plan, err
 }
 
-// Analyze runs the query for real with per-operator tracing on every shard
-// and returns the cluster-merged EXPLAIN ANALYZE trace.
+// Analyze runs the query for real with per-operator tracing and returns
+// the EXPLAIN ANALYZE trace.
 func (c *Client) Analyze(ctx context.Context, q string, limits aplus.QueryLimits) (aplus.QueryTrace, error) {
 	var resp proto.AnalyzeResp
 	err := c.call(ctx, "analyze", proto.AnalyzeReq{Q: q, Limits: proto.FromQueryLimits(limits)}, &resp)
 	return resp.Trace, err
 }
 
-// Exec broadcasts an index DDL to every shard.
+// Exec runs an index DDL.
 func (c *Client) Exec(ddl string) error {
 	return c.call(context.Background(), "exec", proto.ExecReq{DDL: ddl}, nil)
 }
 
-// Flush folds pending deltas on every shard.
+// Flush folds pending deltas.
 func (c *Client) Flush() error {
 	return c.call(context.Background(), "flush", nil, nil)
 }
 
-// AddVertex appends a vertex through the cluster's replicated write path.
+// AddVertex appends a vertex.
 func (c *Client) AddVertex(label string, props aplus.Props) (aplus.VertexID, error) {
 	ps, err := proto.FromProps(props)
 	if err != nil {
@@ -319,7 +311,7 @@ func (c *Client) AddVertex(label string, props aplus.Props) (aplus.VertexID, err
 	return resp.ID, err
 }
 
-// AddEdge appends an edge through the cluster's replicated write path.
+// AddEdge appends an edge.
 func (c *Client) AddEdge(src, dst aplus.VertexID, label string, props aplus.Props) (aplus.EdgeID, error) {
 	ps, err := proto.FromProps(props)
 	if err != nil {
@@ -330,12 +322,12 @@ func (c *Client) AddEdge(src, dst aplus.VertexID, label string, props aplus.Prop
 	return resp.ID, err
 }
 
-// DeleteEdge tombstones an edge on every shard.
+// DeleteEdge tombstones an edge.
 func (c *Client) DeleteEdge(e aplus.EdgeID) error {
 	return c.call(context.Background(), "dele", proto.DeleteEdgeReq{ID: e}, nil)
 }
 
-// Stats fetches the aggregate and per-shard statistics.
+// Stats fetches the served database's statistics.
 func (c *Client) Stats() (proto.StatsResp, error) {
 	var resp proto.StatsResp
 	err := c.call(context.Background(), "stats", nil, &resp)

@@ -6,7 +6,7 @@ package exec
 // product of list lengths; for aggregates the same boundary contributes the
 // aggregated value times the match multiplicity. Aggregates are int64-only:
 // integer addition, min, and max are associative and commutative, so any
-// partitioning of the work (morsels, stolen sub-morsels, shards, folded vs
+// partitioning of the work (morsels, stolen sub-morsels, folded vs
 // enumerated suffixes) yields bit-identical results — the same merge proof
 // as the metric counters.
 
@@ -71,7 +71,7 @@ type AggResult struct {
 
 // Merge folds another partition's result in. int64 sums and extrema are
 // associative and commutative (sums even under wraparound), so merging
-// per-worker, per-shard, or per-sub-morsel partials in any order yields the
+// per-worker or per-sub-morsel partials in any order yields the
 // same result as a serial run.
 func (r *AggResult) Merge(o AggResult) {
 	r.Rows += o.Rows

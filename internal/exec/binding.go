@@ -52,11 +52,6 @@ type Runtime struct {
 	// overhead beyond one nil check per sink call).
 	Gov *Governor
 
-	// Shard, when active (Of > 1), restricts the root scan to the entries
-	// this shard owns (see ShardSpec). The morsel-parallel path copies it
-	// into every worker Runtime.
-	Shard ShardSpec
-
 	// Trace, when set, records a span per plan operator for the next
 	// execution (EXPLAIN ANALYZE). Like Gov it is an opt-in governor-style
 	// hook: nil (the default) disables tracing at the cost of one pointer

@@ -49,12 +49,6 @@ func (o *ScanVertexOp) tableSize(rt *Runtime) int {
 // touched (partitionableOp).
 func (o *ScanVertexOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi int, next func() bool) bool {
 	tryOne := func(v storage.VertexID) bool {
-		// Shard ownership filters before predicates and binding: a skipped
-		// entry charges no metrics, so per-shard counters sum bit-identically
-		// to an unsharded run (see ShardSpec).
-		if rt.Shard.active() && !rt.Shard.ownsVertex(v) {
-			return true
-		}
 		b.V[o.Slot] = v
 		if !evalAll(rt, b, o.Terms) {
 			return true
@@ -136,12 +130,6 @@ func (o *ScanEdgeOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi int,
 			return true
 		}
 		if o.HasLabel && rt.G.EdgeLabel(e) != o.Label {
-			return true
-		}
-		// Edge-rooted plans partition shard ownership on the source vertex;
-		// the filter runs after the tombstone/label skips (which charge no
-		// metrics either) and before predicates and binding.
-		if rt.Shard.active() && !rt.Shard.ownsVertex(rt.G.Src(e)) {
 			return true
 		}
 		b.E[o.EdgeSlot] = e

@@ -219,7 +219,7 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 	)
 	rts := make([]*Runtime, workers)
 	for w := 0; w < workers; w++ {
-		wrt := &Runtime{Store: rt.Store, G: rt.G, Delta: rt.Delta, Gov: rt.Gov, Shard: rt.Shard}
+		wrt := &Runtime{Store: rt.Store, G: rt.G, Delta: rt.Delta, Gov: rt.Gov}
 		if rt.Trace != nil {
 			wrt.Trace = new(Trace)
 		}

@@ -1,7 +1,7 @@
 // Package obs provides the observability primitives threaded through the
 // engine: lock-free log-bucketed latency histograms whose recording path is
-// allocation-free and contention-striped, snapshot/merge/quantile logic for
-// surfacing them through Stats at any shard count, and a hand-rolled
+// allocation-free and contention-striped, snapshot/quantile logic for
+// surfacing them through Stats, and a hand-rolled
 // Prometheus text renderer for the serving layer's /metrics endpoint.
 package obs
 
@@ -87,8 +87,8 @@ func (h *Histogram) Snapshot() HistStats {
 	return st
 }
 
-// HistStats is a merged, quantile-annotated histogram snapshot: the form
-// histograms take inside Stats, over the wire, and across shard merges.
+// HistStats is a quantile-annotated histogram snapshot: the form
+// histograms take inside Stats and over the wire.
 // P50/P95/P99 are upper bounds of the bucket containing the quantile, so
 // they carry the histogram's factor-of-two resolution.
 type HistStats struct {
@@ -99,21 +99,6 @@ type HistStats struct {
 	P95     time.Duration     `json:"p95"`
 	P99     time.Duration     `json:"p99"`
 	Buckets [NumBuckets]int64 `json:"buckets"`
-}
-
-// Merge combines two snapshots (e.g. the same histogram from two shards)
-// and recomputes the quantiles over the combined distribution.
-func (s HistStats) Merge(o HistStats) HistStats {
-	for b := range s.Buckets {
-		s.Buckets[b] += o.Buckets[b]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.finalize()
-	return s
 }
 
 // finalize recomputes P50/P95/P99 from the bucket counts.
@@ -152,16 +137,11 @@ func BucketUpper(b int) time.Duration {
 	return time.Duration(int64(1) << b)
 }
 
-// WriteProm renders the snapshot as a Prometheus histogram in text
-// exposition format: cumulative _bucket series with `le` upper bounds in
-// seconds, then _sum and _count. Empty trailing buckets are elided (the
-// +Inf bucket always closes the series). labels is either empty or a
-// rendered label set without braces, e.g. `shard="0"`.
-func (s HistStats) WriteProm(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
+// WriteProm renders the snapshot as an unlabeled Prometheus histogram in
+// text exposition format: cumulative _bucket series with `le` upper bounds
+// in seconds, then _sum and _count. Empty trailing buckets are elided (the
+// +Inf bucket always closes the series).
+func (s HistStats) WriteProm(w io.Writer, name string) {
 	var cum int64
 	top := 0
 	for b, n := range s.Buckets {
@@ -171,12 +151,9 @@ func (s HistStats) WriteProm(w io.Writer, name, labels string) {
 	}
 	for b := 0; b <= top; b++ {
 		cum += s.Buckets[b]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, BucketUpper(b).Seconds(), cum)
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, BucketUpper(b).Seconds(), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
-	if labels != "" {
-		labels = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, s.Sum.Seconds())
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, s.Count)
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
+	fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum.Seconds())
+	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 }

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"github.com/aplusdb/aplus"
-	"github.com/aplusdb/aplus/internal/shard"
 )
 
 // Error codes carried in ErrMsg.Code.
@@ -33,7 +32,6 @@ const (
 	CodeAdmission    = "admission"
 	CodePanic        = "panic"
 	CodeDegraded     = "degraded"
-	CodeDiverged     = "diverged"
 	CodeClosed       = "closed"
 	CodeBackpressure = "backpressure"
 	CodeBadRequest   = "bad_request"
@@ -41,8 +39,8 @@ const (
 )
 
 // ErrBackpressure is the client-side sentinel for CodeBackpressure: the
-// server refused a write because the shards' pending-write backlog is over
-// its admission threshold.
+// server refused a write because the database's pending-write backlog is
+// over its admission threshold.
 var ErrBackpressure = fmt.Errorf("aplusd: write rejected by backpressure")
 
 // ErrMsg is the payload of an `err` response.
@@ -66,8 +64,6 @@ func ErrorCode(err error) string {
 		return CodeAdmission
 	case isErr(err, aplus.ErrQueryPanic):
 		return CodePanic
-	case isErr(err, shard.ErrClusterDiverged):
-		return CodeDiverged
 	case isErr(err, aplus.ErrDegraded):
 		return CodeDegraded
 	case isErr(err, aplus.ErrClosed):
@@ -94,8 +90,6 @@ func SentinelError(code, msg string) error {
 		sentinel = aplus.ErrAdmissionRejected
 	case CodePanic:
 		sentinel = aplus.ErrQueryPanic
-	case CodeDiverged:
-		sentinel = shard.ErrClusterDiverged
 	case CodeDegraded:
 		sentinel = aplus.ErrDegraded
 	case CodeClosed:
@@ -136,19 +130,14 @@ func FromQueryLimits(l aplus.QueryLimits) Limits {
 	}
 }
 
-// OpenResp answers `open` (the handshake): what the server is serving.
-type OpenResp struct {
-	Shards int `json:"shards"`
-}
-
-// CountReq asks for a match count (`count`, or `profile` to also merge
+// CountReq asks for a match count (`count`, or `profile` to also report
 // metrics).
 type CountReq struct {
 	Q      string `json:"q"`
 	Limits Limits `json:"limits,omitempty"`
 }
 
-// CountResp carries the summed count and (for `profile`) merged metrics.
+// CountResp carries the count and (for `profile`) the profiled metrics.
 type CountResp struct {
 	N         int64   `json:"n"`
 	ICost     int64   `json:"icost,omitempty"`
@@ -156,7 +145,7 @@ type CountResp struct {
 	EstICost  float64 `json:"est_icost,omitempty"`
 }
 
-// AggregateReq asks for a cluster-merged aggregate (`aggregate`): Func is
+// AggregateReq asks for an aggregate (`aggregate`): Func is
 // count/sum/min/max; Var and Prop name the aggregated vertex variable and
 // its integer property (ignored for count).
 type AggregateReq struct {
@@ -167,7 +156,7 @@ type AggregateReq struct {
 	Limits Limits `json:"limits,omitempty"`
 }
 
-// AggregateResp carries the exactly merged aggregate plus profiled metrics.
+// AggregateResp carries the aggregate plus profiled metrics.
 type AggregateResp struct {
 	Rows      int64   `json:"rows"`
 	Value     int64   `json:"value"`
@@ -208,19 +197,19 @@ type ExplainResp struct {
 }
 
 // AnalyzeReq runs the query for real with per-operator tracing
-// (EXPLAIN ANALYZE) across all shards.
+// (EXPLAIN ANALYZE).
 type AnalyzeReq struct {
 	Q      string `json:"q"`
 	Limits Limits `json:"limits,omitempty"`
 }
 
-// AnalyzeResp carries the cluster-merged trace: span sums are bit-identical
-// to what `profile` reports for the same query.
+// AnalyzeResp carries the trace: span sums are bit-identical to what
+// `profile` reports for the same query.
 type AnalyzeResp struct {
 	Trace aplus.QueryTrace `json:"trace"`
 }
 
-// ExecReq broadcasts an index DDL.
+// ExecReq runs an index DDL.
 type ExecReq struct {
 	DDL string `json:"ddl"`
 }
@@ -313,21 +302,15 @@ type DeleteEdgeReq struct {
 	ID aplus.EdgeID `json:"id"`
 }
 
-// StatsResp answers `stats`: the aggregate plus every shard's own stats
-// (what aplusshell's :shards renders).
+// StatsResp answers `stats` with the served database's statistics.
 type StatsResp struct {
-	Shards        int           `json:"shards"`
-	Diverged      bool          `json:"diverged,omitempty"`
-	DivergedCause string        `json:"diverged_cause,omitempty"`
-	Aggregate     aplus.Stats   `json:"aggregate"`
-	PerShard      []aplus.Stats `json:"per_shard"`
+	Aggregate aplus.Stats `json:"aggregate"`
 }
 
 // HealthResp answers `health` with the signals an LB would gate on.
 type HealthResp struct {
 	OK              bool  `json:"ok"`
 	Degraded        bool  `json:"degraded,omitempty"`
-	Diverged        bool  `json:"diverged,omitempty"`
 	QueriesInFlight int64 `json:"queries_in_flight"`
 	PendingWrites   int   `json:"pending_writes"`
 }

@@ -1,9 +1,9 @@
 package server
 
 // The serving layer's observability endpoint: an optional HTTP listener
-// (aplusd -metrics) exporting the cluster's stats as Prometheus text
+// (aplusd -metrics) exporting the database's stats as Prometheus text
 // exposition, plus the Go runtime's expvar and pprof handlers. The endpoint
-// is pull-only and read-only — it takes cluster snapshots via Stats(), never
+// is pull-only and read-only — it takes snapshots via Stats(), never
 // touching the query path.
 
 import (
@@ -13,57 +13,40 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/aplusdb/aplus"
-	"github.com/aplusdb/aplus/internal/shard"
 )
 
 // MetricsServer serves /metrics (Prometheus text), /debug/vars (expvar),
-// and /debug/pprof/ for one cluster.
+// and /debug/pprof/ for one database.
 type MetricsServer struct {
-	c   *shard.Cluster
+	db  *aplus.DB
 	ln  net.Listener
 	srv *http.Server
 }
 
-// expvarOnce publishes the cluster-stats expvar exactly once per process
-// (expvar.Publish panics on duplicate names); the variable reads through
-// metricsCluster, so tests that start several metrics servers see the most
-// recent one's stats.
+// The stats expvar is published exactly once per process (expvar.Publish
+// panics on duplicate names); it reads through metricsDB, so tests that
+// start several metrics servers see the most recent one's stats.
 var (
-	expvarOnce     sync.Once
-	metricsMu      sync.Mutex
-	metricsCluster *shard.Cluster
+	expvarOnce sync.Once
+	metricsDB  atomic.Pointer[aplus.DB]
 )
-
-func setMetricsCluster(c *shard.Cluster) {
-	metricsMu.Lock()
-	metricsCluster = c
-	metricsMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("aplus_cluster", expvar.Func(func() any {
-			metricsMu.Lock()
-			c := metricsCluster
-			metricsMu.Unlock()
-			if c == nil {
-				return nil
-			}
-			return c.Stats()
-		}))
-	})
-}
 
 // StartMetrics binds addr and serves the observability endpoint in the
 // background until Close.
-func StartMetrics(c *shard.Cluster, addr string) (*MetricsServer, error) {
+func StartMetrics(db *aplus.DB, addr string) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	setMetricsCluster(c)
-	m := &MetricsServer{c: c, ln: ln}
+	metricsDB.Store(db)
+	expvarOnce.Do(func() {
+		expvar.Publish("aplus", expvar.Func(func() any { return metricsDB.Load().Stats() }))
+	})
+	m := &MetricsServer{db: db, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", m.serveMetrics)
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -83,13 +66,11 @@ func (m *MetricsServer) Addr() string { return m.ln.Addr().String() }
 // Close stops the listener and in-flight handlers.
 func (m *MetricsServer) Close() error { return m.srv.Close() }
 
-// serveMetrics renders the cluster's stats in Prometheus text exposition
-// format: per-shard series labeled shard="N" plus cluster-aggregated series
-// labeled shard="cluster".
+// serveMetrics renders the database's stats in Prometheus text exposition
+// format as unlabeled series.
 func (m *MetricsServer) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st := m.c.Stats()
-	writeProm(w, st)
+	writeProm(w, m.db.Stats())
 }
 
 // histSeries maps the Stats latency histograms to metric names.
@@ -131,32 +112,13 @@ func boolGauge(b bool) int64 {
 	return 0
 }
 
-// writeProm renders one cluster stats snapshot: every series once per shard
-// and once aggregated under shard="cluster".
-func writeProm(w io.Writer, st shard.Stats) {
-	label := func(i int) string {
-		if i < 0 {
-			return `shard="cluster"`
-		}
-		return fmt.Sprintf("shard=%s", strconv.Quote(strconv.Itoa(i)))
-	}
-	each := func(f func(label string, s *aplus.Stats)) {
-		for i := range st.Shards {
-			f(label(i), &st.Shards[i])
-		}
-		f(label(-1), &st.Aggregate)
-	}
+// writeProm renders one stats snapshot.
+func writeProm(w io.Writer, st aplus.Stats) {
 	for _, h := range histSeries {
 		fmt.Fprintf(w, "# TYPE %s histogram\n", h.name)
-		each(func(label string, s *aplus.Stats) {
-			h.get(s).WriteProm(w, h.name, label)
-		})
+		h.get(&st).WriteProm(w, h.name)
 	}
 	for _, g := range gaugeSeries {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", g.name)
-		each(func(label string, s *aplus.Stats) {
-			fmt.Fprintf(w, "%s{%s} %d\n", g.name, label, g.get(s))
-		})
+		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.get(&st))
 	}
-	fmt.Fprintf(w, "# TYPE aplus_diverged gauge\naplus_diverged %d\n", boolGauge(st.Diverged))
 }

@@ -2,20 +2,20 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
 	"github.com/aplusdb/aplus"
-	"github.com/aplusdb/aplus/internal/shard"
 )
 
 // TestServedAnalyzeVerb round-trips EXPLAIN ANALYZE over the wire and
-// checks the cluster-merged trace against the profile verb's metrics —
+// checks the trace against the profile verb's metrics —
 // the same bit-identical contract the embedded API pins.
 func TestServedAnalyzeVerb(t *testing.T) {
-	_, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	_, cl := startServer(t, aplus.New(), Options{})
 	seed(t, cl, 30)
 
 	want, wantM, err := cl.CountProfiled(context.Background(), triangleQ)
@@ -44,17 +44,18 @@ func TestServedAnalyzeVerb(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint serves a cluster's /metrics over HTTP and asserts the
-// Prometheus exposition carries per-shard and cluster-aggregated series for
-// the latency histograms and key gauges.
+// TestMetricsEndpoint serves a database's /metrics over HTTP and asserts
+// the Prometheus exposition carries unlabeled series for the latency
+// histograms and key gauges.
 func TestMetricsEndpoint(t *testing.T) {
-	c, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	db := aplus.New()
+	_, cl := startServer(t, db, Options{})
 	seed(t, cl, 30)
 	if _, err := cl.Count(context.Background(), pathQ); err != nil {
 		t.Fatal(err)
 	}
 
-	m, err := StartMetrics(c, "127.0.0.1:0")
+	m, err := StartMetrics(db, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,31 +79,26 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"# TYPE aplus_query_latency_seconds histogram",
-		`aplus_query_latency_seconds_count{shard="0"}`,
-		`aplus_query_latency_seconds_count{shard="1"}`,
-		`aplus_query_latency_seconds_count{shard="cluster"}`,
-		`aplus_query_latency_seconds_bucket{shard="cluster",le="+Inf"}`,
+		"\naplus_query_latency_seconds_count ",
+		`aplus_query_latency_seconds_bucket{le="+Inf"}`,
 		"# TYPE aplus_wal_fsync_seconds histogram",
 		"# TYPE aplus_vertices gauge",
-		`aplus_vertices{shard="cluster"} 30`,
-		`aplus_plan_cache_hits_total{shard="cluster"}`,
-		`aplus_degraded{shard="cluster"} 0`,
-		"aplus_diverged 0",
+		"\naplus_vertices 30\n",
+		"\naplus_plan_cache_hits_total ",
+		"\naplus_degraded 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q\n%s", want, text)
 		}
 	}
-
-	// The aggregate histogram count must equal the sum of the shards'.
-	st := c.Stats()
-	var perShard int64
-	for _, s := range st.Shards {
-		perShard += s.QueryLatency.Count
+	if strings.Contains(text, "shard") {
+		t.Errorf("/metrics still carries shard labels\n%s", text)
 	}
-	if perShard == 0 || st.Aggregate.QueryLatency.Count != perShard {
-		t.Errorf("aggregate latency count %d, shard sum %d",
-			st.Aggregate.QueryLatency.Count, perShard)
+
+	// The exported histogram count is the database's own.
+	if n := db.Stats().QueryLatency.Count; n == 0 ||
+		!strings.Contains(text, fmt.Sprintf("\naplus_query_latency_seconds_count %d\n", n)) {
+		t.Errorf("latency count %d not exported\n%s", n, text)
 	}
 
 	// expvar and pprof ride on the same listener.

@@ -1,7 +1,7 @@
-// Package server implements the aplusd TCP serving layer over a
-// shard.Cluster: it speaks the line-oriented proto protocol, streams query
+// Package server implements the aplusd TCP serving layer over one
+// *aplus.DB: it speaks the line-oriented proto protocol, streams query
 // rows, propagates per-request limits into the engine's governance gates,
-// applies write backpressure from the shards' pending-write backlog, and
+// applies write backpressure from the database's pending-write backlog, and
 // lets a client cancel an in-flight query mid-stream without tearing the
 // connection down.
 //
@@ -26,7 +26,6 @@ import (
 
 	"github.com/aplusdb/aplus"
 	"github.com/aplusdb/aplus/internal/proto"
-	"github.com/aplusdb/aplus/internal/shard"
 )
 
 // Options configures a Server.
@@ -35,7 +34,7 @@ type Options struct {
 	// ":0" picks a free port, reported by Addr).
 	Addr string
 	// DefaultLimits applies to count/profile/query requests that carry no
-	// limits of their own. Zero means only the cluster's own configured
+	// limits of their own. Zero means only the database's own configured
 	// governance applies.
 	DefaultLimits aplus.QueryLimits
 	// DefaultMaxRows caps a query's row stream when the request doesn't
@@ -43,8 +42,8 @@ type Options struct {
 	// cleanly and marks the response truncated; it is not an error.
 	DefaultMaxRows int64
 	// MaxPendingWrites rejects write verbs with a backpressure error while
-	// the cluster's aggregate pending-write backlog exceeds this threshold
-	// (0 = no backpressure).
+	// the database's pending-write backlog exceeds this threshold (0 = no
+	// backpressure).
 	MaxPendingWrites int
 	// IdleTimeout disconnects a connection that sends no request for this
 	// long (0 = never). The clock only runs between requests: a streaming
@@ -52,9 +51,9 @@ type Options struct {
 	IdleTimeout time.Duration
 }
 
-// Server serves a shard.Cluster over TCP.
+// Server serves one *aplus.DB over TCP.
 type Server struct {
-	c  *shard.Cluster
+	db *aplus.DB
 	o  Options
 	ln net.Listener
 
@@ -64,10 +63,10 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// New wraps a cluster. The server does not own the cluster: Close stops
-// serving but leaves the cluster open for the caller to close.
-func New(c *shard.Cluster, o Options) *Server {
-	return &Server{c: c, o: o, conns: make(map[net.Conn]struct{})}
+// New wraps a database. The server does not own the database: Close stops
+// serving but leaves the database open for the caller to close.
+func New(db *aplus.DB, o Options) *Server {
+	return &Server{db: db, o: o, conns: make(map[net.Conn]struct{})}
 }
 
 // Start listens on Options.Addr and serves in the background until Close.
@@ -277,9 +276,9 @@ func (s *Server) checkBackpressure() error {
 	if s.o.MaxPendingWrites <= 0 {
 		return nil
 	}
-	if st := s.c.Stats(); st.Aggregate.PendingWrites > s.o.MaxPendingWrites {
+	if n := s.db.Stats().PendingWrites; n > s.o.MaxPendingWrites {
 		return fmt.Errorf("%w: %d pending writes over threshold %d",
-			proto.ErrBackpressure, st.Aggregate.PendingWrites, s.o.MaxPendingWrites)
+			proto.ErrBackpressure, n, s.o.MaxPendingWrites)
 	}
 	return nil
 }
@@ -287,14 +286,14 @@ func (s *Server) checkBackpressure() error {
 func (s *Server) serveSimple(ctx context.Context, bw *bufio.Writer, verb, payload string) {
 	switch verb {
 	case "open":
-		writeOK(bw, proto.OpenResp{Shards: s.c.NumShards()})
+		writeOK(bw, struct{}{})
 	case "count", "profile":
 		req, err := decode[proto.CountReq](payload)
 		if err != nil {
 			writeBadRequest(bw, err.Error())
 			return
 		}
-		n, m, err := s.c.CountProfiledLimited(ctx, req.Q, s.limitsFor(req.Limits))
+		n, m, err := s.db.CountProfiledLimited(ctx, req.Q, s.limitsFor(req.Limits))
 		if err != nil {
 			writeErr(bw, err)
 			return
@@ -317,7 +316,7 @@ func (s *Server) serveSimple(ctx context.Context, bw *bufio.Writer, verb, payloa
 			writeBadRequest(bw, err.Error())
 			return
 		}
-		v, m, err := s.c.Aggregate(ctx, req.Q, fn, req.Var, req.Prop, s.limitsFor(req.Limits))
+		v, m, err := s.db.AggregateLimited(ctx, req.Q, fn, req.Var, req.Prop, s.limitsFor(req.Limits))
 		if err != nil {
 			writeErr(bw, err)
 			return
@@ -336,7 +335,7 @@ func (s *Server) serveSimple(ctx context.Context, bw *bufio.Writer, verb, payloa
 			writeBadRequest(bw, err.Error())
 			return
 		}
-		plan, err := s.c.Explain(req.Q)
+		plan, err := s.db.Explain(req.Q)
 		if err != nil {
 			writeErr(bw, err)
 			return
@@ -348,7 +347,7 @@ func (s *Server) serveSimple(ctx context.Context, bw *bufio.Writer, verb, payloa
 			writeBadRequest(bw, err.Error())
 			return
 		}
-		t, err := s.c.ExplainAnalyze(ctx, req.Q, s.limitsFor(req.Limits))
+		t, err := s.db.ExplainAnalyzeLimited(ctx, req.Q, s.limitsFor(req.Limits))
 		if err != nil {
 			writeErr(bw, err)
 			return
@@ -360,13 +359,13 @@ func (s *Server) serveSimple(ctx context.Context, bw *bufio.Writer, verb, payloa
 			writeBadRequest(bw, err.Error())
 			return
 		}
-		if err := s.c.Exec(req.DDL); err != nil {
+		if err := s.db.Exec(req.DDL); err != nil {
 			writeErr(bw, err)
 			return
 		}
 		writeOK(bw, struct{}{})
 	case "flush":
-		if err := s.c.Flush(); err != nil {
+		if err := s.db.Flush(); err != nil {
 			writeErr(bw, err)
 			return
 		}
@@ -381,7 +380,7 @@ func (s *Server) serveSimple(ctx context.Context, bw *bufio.Writer, verb, payloa
 			writeErr(bw, err)
 			return
 		}
-		id, err := s.c.AddVertex(req.Label, proto.ToProps(req.Props))
+		id, err := s.db.AddVertex(req.Label, proto.ToProps(req.Props))
 		if err != nil {
 			writeErr(bw, err)
 			return
@@ -397,7 +396,7 @@ func (s *Server) serveSimple(ctx context.Context, bw *bufio.Writer, verb, payloa
 			writeErr(bw, err)
 			return
 		}
-		id, err := s.c.AddEdge(req.Src, req.Dst, req.Label, proto.ToProps(req.Props))
+		id, err := s.db.AddEdge(req.Src, req.Dst, req.Label, proto.ToProps(req.Props))
 		if err != nil {
 			writeErr(bw, err)
 			return
@@ -413,28 +412,20 @@ func (s *Server) serveSimple(ctx context.Context, bw *bufio.Writer, verb, payloa
 			writeErr(bw, err)
 			return
 		}
-		if err := s.c.DeleteEdge(req.ID); err != nil {
+		if err := s.db.DeleteEdge(req.ID); err != nil {
 			writeErr(bw, err)
 			return
 		}
 		writeOK(bw, struct{}{})
 	case "stats":
-		st := s.c.Stats()
-		writeOK(bw, proto.StatsResp{
-			Shards:        s.c.NumShards(),
-			Diverged:      st.Diverged,
-			DivergedCause: st.DivergedCause,
-			Aggregate:     st.Aggregate,
-			PerShard:      st.Shards,
-		})
+		writeOK(bw, proto.StatsResp{Aggregate: s.db.Stats()})
 	case "health":
-		st := s.c.Stats()
+		st := s.db.Stats()
 		writeOK(bw, proto.HealthResp{
-			OK:              !st.Aggregate.Degraded && !st.Diverged,
-			Degraded:        st.Aggregate.Degraded,
-			Diverged:        st.Diverged,
-			QueriesInFlight: st.Aggregate.QueriesInFlight,
-			PendingWrites:   st.Aggregate.PendingWrites,
+			OK:              !st.Degraded,
+			Degraded:        st.Degraded,
+			QueriesInFlight: st.QueriesInFlight,
+			PendingWrites:   st.PendingWrites,
 		})
 	default:
 		writeBadRequest(bw, "unknown verb "+verb)
@@ -465,7 +456,7 @@ func (s *Server) serveQuery(connCtx context.Context, conn net.Conn, bw *bufio.Wr
 	)
 	done := make(chan error, 1)
 	go func() {
-		done <- s.c.QueryLimited(qctx, req.Q, s.limitsFor(req.Limits), func(r aplus.Row) bool {
+		done <- s.db.QueryLimited(qctx, req.Q, s.limitsFor(req.Limits), func(r aplus.Row) bool {
 			b, err := json.Marshal(proto.Row{V: r.Vertices, E: r.Edges})
 			if err != nil {
 				writeErrd = true

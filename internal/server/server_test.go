@@ -1,12 +1,13 @@
 package server
 
-// End-to-end tests over a real TCP loopback: a shard.Cluster behind a
-// Server, driven by the wire client. The bar is behavioral parity with the
-// embedded API — identical counts and metrics, the same errors.Is-matchable
+// End-to-end tests over a real TCP loopback: an *aplus.DB behind a Server,
+// driven by the wire client. The bar is behavioral parity with the embedded
+// API — identical counts and metrics, the same errors.Is-matchable
 // sentinels for governance failures, mid-stream cancellation that drains
-// every shard, and typed property round-trips.
+// the engine, and typed property round-trips.
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -20,7 +21,6 @@ import (
 	"github.com/aplusdb/aplus"
 	"github.com/aplusdb/aplus/internal/client"
 	"github.com/aplusdb/aplus/internal/proto"
-	"github.com/aplusdb/aplus/internal/shard"
 )
 
 const (
@@ -50,15 +50,12 @@ func seed(t *testing.T, w writer, n int) {
 	}
 }
 
-// startServer brings up a cluster + server + connected client on loopback.
-func startServer(t *testing.T, copt shard.Options, sopt Options) (*shard.Cluster, *Server, *client.Client) {
+// startServer serves db on loopback and connects a client; cleanup closes
+// all three.
+func startServer(t *testing.T, db *aplus.DB, sopt Options) (*Server, *client.Client) {
 	t.Helper()
-	c, err := shard.New(copt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sopt.Addr = "127.0.0.1:0"
-	srv := New(c, sopt)
+	srv := New(db, sopt)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +66,13 @@ func startServer(t *testing.T, copt shard.Options, sopt Options) (*shard.Cluster
 	t.Cleanup(func() {
 		cl.Close()
 		srv.Close()
-		c.Close()
+		db.Close()
 	})
-	return c, srv, cl
+	return srv, cl
 }
 
 func TestServedParityWithEmbedded(t *testing.T) {
-	_, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
-	if cl.NumShards() != 2 {
-		t.Fatalf("handshake shards = %d, want 2", cl.NumShards())
-	}
+	_, cl := startServer(t, aplus.New(), Options{})
 	// Seed through the wire so the remote write path is what's under test.
 	seed(t, cl, 30)
 	ref := aplus.New()
@@ -105,7 +99,7 @@ func TestServedParityWithEmbedded(t *testing.T) {
 		}
 	}
 
-	// Row parity: same multiset of bindings, shard order notwithstanding.
+	// Row parity: same multiset of bindings, worker order notwithstanding.
 	var remote []string
 	res, err := cl.Query(context.Background(), pathQ, 0, func(r proto.Row) bool {
 		remote = append(remote, rowKeyWire(r))
@@ -137,7 +131,7 @@ func TestServedParityWithEmbedded(t *testing.T) {
 // function served over the wire matches the embedded DB bit for bit, and a
 // bad function name maps to the bad-request error.
 func TestServedAggregateParity(t *testing.T) {
-	_, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	_, cl := startServer(t, aplus.New(), Options{})
 	seedProps := func(w writer) {
 		for i := 0; i < 30; i++ {
 			if _, err := w.AddVertex("P", aplus.Props{"x": i*3 - 10}); err != nil {
@@ -219,28 +213,30 @@ func bindKey(visit func(emit func(string, uint64))) string {
 }
 
 func TestServedTypedPropsRoundTrip(t *testing.T) {
-	c, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	db := aplus.New()
+	_, cl := startServer(t, db, Options{})
 	v, err := cl.AddVertex("P", aplus.Props{"name": "ada", "age": int64(36), "score": 2.5, "ok": true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// JSON must not have coerced the int to float64 on its way through.
-	if got := c.VertexProp(v, "age"); got != int64(36) {
+	if got := db.VertexProp(v, "age"); got != int64(36) {
 		t.Fatalf("age round-tripped as %T(%v), want int64(36)", got, got)
 	}
-	if got := c.VertexProp(v, "score"); got != 2.5 {
+	if got := db.VertexProp(v, "score"); got != 2.5 {
 		t.Fatalf("score = %v", got)
 	}
-	if got := c.VertexProp(v, "name"); got != "ada" {
+	if got := db.VertexProp(v, "name"); got != "ada" {
 		t.Fatalf("name = %v", got)
 	}
-	if got := c.VertexProp(v, "ok"); got != true {
+	if got := db.VertexProp(v, "ok"); got != true {
 		t.Fatalf("ok = %v", got)
 	}
 }
 
 func TestServedCancelMidStream(t *testing.T) {
-	c, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	db := aplus.New()
+	_, cl := startServer(t, db, Options{})
 	// A dense hub produces a long row stream to cancel into.
 	hub, err := cl.AddVertex("H", nil)
 	if err != nil {
@@ -275,14 +271,11 @@ func TestServedCancelMidStream(t *testing.T) {
 	if !errors.Is(err, aplus.ErrQueryCanceled) {
 		t.Fatalf("err = %v, want ErrQueryCanceled", err)
 	}
-	// Every shard must drain: no query may stay in flight after the wire
+	// The engine must drain: no query may stay in flight after the wire
 	// round-trip reports cancellation.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		inFlight := int64(0)
-		for i := 0; i < c.NumShards(); i++ {
-			inFlight += c.DB(i).Stats().QueriesInFlight
-		}
+		inFlight := db.Stats().QueriesInFlight
 		if inFlight == 0 {
 			break
 		}
@@ -298,7 +291,7 @@ func TestServedCancelMidStream(t *testing.T) {
 }
 
 func TestServedEarlyStopAndRowCap(t *testing.T) {
-	_, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	_, cl := startServer(t, aplus.New(), Options{})
 	seed(t, cl, 30)
 
 	// fn returning false stops the stream without error.
@@ -330,7 +323,7 @@ func TestServedEarlyStopAndRowCap(t *testing.T) {
 }
 
 func TestServedGovernanceSentinels(t *testing.T) {
-	_, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	_, cl := startServer(t, aplus.New(), Options{})
 	seed(t, cl, 30)
 
 	if _, err := cl.CountLimited(context.Background(), triangleQ, aplus.QueryLimits{MaxICost: 1}); !errors.Is(err, aplus.ErrBudgetExceeded) {
@@ -349,10 +342,9 @@ func TestServedGovernanceSentinels(t *testing.T) {
 }
 
 func TestServedBackpressure(t *testing.T) {
-	_, _, cl := startServer(t,
-		shard.Options{Shards: 2, MergeThreshold: 1 << 20},
-		Options{MaxPendingWrites: 6},
-	)
+	db := aplus.New()
+	db.MergeThreshold = 1 << 20
+	_, cl := startServer(t, db, Options{MaxPendingWrites: 6})
 	// Edge writes only flow through the fold-pending delta once a first
 	// snapshot exists (the load phase builds the frozen graph directly),
 	// so seed vertices and publish a snapshot with one read first.
@@ -364,8 +356,8 @@ func TestServedBackpressure(t *testing.T) {
 	if _, err := cl.Count(context.Background(), "MATCH a-[e]->b"); err != nil {
 		t.Fatal(err)
 	}
-	// Each logical edge lands on both replicas, so aggregate pending
-	// climbs by ~2 per AddEdge; past the threshold writes must bounce.
+	// Pending writes climb by one per AddEdge; past the threshold writes
+	// must bounce.
 	var saw error
 	for i := 0; i < 20; i++ {
 		if _, err := cl.AddEdge(0, 1, "K", nil); err != nil {
@@ -390,7 +382,7 @@ func TestServedBackpressure(t *testing.T) {
 }
 
 func TestServedStatsHealthExplainExec(t *testing.T) {
-	_, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	_, cl := startServer(t, aplus.New(), Options{})
 	seed(t, cl, 20)
 	if _, err := cl.Count(context.Background(), pathQ); err != nil {
 		t.Fatal(err)
@@ -399,20 +391,14 @@ func TestServedStatsHealthExplainExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Shards != 2 || len(st.PerShard) != 2 {
-		t.Fatalf("stats shards: %d/%d", st.Shards, len(st.PerShard))
-	}
 	if st.Aggregate.NumVertices != 20 {
-		t.Fatalf("aggregate vertices = %d", st.Aggregate.NumVertices)
-	}
-	if st.PerShard[0].NumVertices != 20 || st.PerShard[1].NumVertices != 20 {
-		t.Fatalf("replica vertices: %d/%d", st.PerShard[0].NumVertices, st.PerShard[1].NumVertices)
+		t.Fatalf("stats vertices = %d", st.Aggregate.NumVertices)
 	}
 	h, err := cl.Health()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.OK || h.Degraded || h.Diverged {
+	if !h.OK || h.Degraded {
 		t.Fatalf("health: %+v", h)
 	}
 	if err := cl.Exec("CREATE 1-HOP VIEW V MATCH vs-[eadj]->vd INDEX AS FW PARTITION BY eadj.label"); err != nil {
@@ -425,20 +411,18 @@ func TestServedStatsHealthExplainExec(t *testing.T) {
 	if plan == "" {
 		t.Fatal("empty plan")
 	}
-	// DDL applied on every replica.
+	// The DDL built a secondary index.
 	st, err = cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, per := range st.PerShard {
-		if per.SecondaryIndexBytes == 0 {
-			t.Fatalf("shard %d has no secondary index after broadcast DDL", i)
-		}
+	if st.Aggregate.SecondaryIndexBytes == 0 {
+		t.Fatal("no secondary index after DDL")
 	}
 }
 
 func TestServedConcurrentClients(t *testing.T) {
-	_, srv, cl := startServer(t, shard.Options{Shards: 2}, Options{})
+	srv, cl := startServer(t, aplus.New(), Options{})
 	seed(t, cl, 30)
 	want, err := cl.Count(context.Background(), pathQ)
 	if err != nil {
@@ -492,11 +476,11 @@ func TestServedConcurrentClients(t *testing.T) {
 
 func TestServedDurableShutdownAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	c, err := shard.New(shard.Options{Shards: 2, Dir: dir, NoFsync: true})
+	db, err := aplus.OpenOptions{NoFsync: true}.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(c, Options{Addr: "127.0.0.1:0"})
+	srv := New(db, Options{Addr: "127.0.0.1:0"})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -513,18 +497,18 @@ func TestServedDurableShutdownAndReopen(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reopen the same directory and serve again: recovery must preserve
-	// the graph on every replica.
-	c2, err := shard.New(shard.Options{Shards: 2, Dir: dir, NoFsync: true})
+	// the graph.
+	db2, err := aplus.OpenOptions{NoFsync: true}.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	srv2 := New(c2, Options{Addr: "127.0.0.1:0"})
+	defer db2.Close()
+	srv2 := New(db2, Options{Addr: "127.0.0.1:0"})
 	if err := srv2.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -541,14 +525,14 @@ func TestServedDurableShutdownAndReopen(t *testing.T) {
 	if got != want {
 		t.Fatalf("count after reopen: %d, want %d", got, want)
 	}
-	// And the reopened cluster still accepts writes through the server.
+	// And the reopened database still accepts writes through the server.
 	if _, err := cl2.AddVertex("P", nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestServedProtocolRobustness(t *testing.T) {
-	_, srv, _ := startServer(t, shard.Options{Shards: 1}, Options{})
+	srv, _ := startServer(t, aplus.New(), Options{})
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -579,5 +563,54 @@ func TestServedProtocolRobustness(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "ok ") {
 		t.Fatalf("health after bogus verb answered %q", lines[1])
+	}
+}
+
+// TestServedPipelinedRequestStashed sends a query and a second request in
+// one write: the second line arrives while rows stream, so the server
+// stashes it and answers it only after the query's final response,
+// keeping request/response order.
+func TestServedPipelinedRequestStashed(t *testing.T) {
+	srv, cl := startServer(t, aplus.New(), Options{})
+	seed(t, cl, 30)
+	want, err := cl.Count(context.Background(), pathQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := fmt.Fprintf(conn, "query {\"q\":%q}\nhealth\n", pathQ); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	var rows int64
+	var finals []string
+	for len(finals) < 2 {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("read: %v after %d rows, finals %q", err, rows, finals)
+		}
+		switch {
+		case strings.HasPrefix(line, "row "):
+			if len(finals) > 0 {
+				t.Fatalf("row after the query's final response: %q", line)
+			}
+			rows++
+		default:
+			finals = append(finals, strings.TrimSpace(line))
+		}
+	}
+	if rows != want {
+		t.Fatalf("streamed %d rows, want %d", rows, want)
+	}
+	if wantDone := fmt.Sprintf(`ok {"rows":%d}`, want); finals[0] != wantDone {
+		t.Fatalf("query final = %q, want %q", finals[0], wantDone)
+	}
+	if !strings.HasPrefix(finals[1], `ok {"ok":true`) {
+		t.Fatalf("stashed health answered %q", finals[1])
 	}
 }

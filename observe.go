@@ -21,7 +21,7 @@ import (
 
 // LatencyStats is a merged latency-histogram snapshot: sample count, sum,
 // max, and log-bucketed p50/p95/p99 (quantiles carry the histogram's
-// factor-of-two resolution). Merge combines snapshots across shards.
+// factor-of-two resolution).
 type LatencyStats = obs.HistStats
 
 // TraceSpan is one plan operator's exclusive measurements in a QueryTrace:
@@ -51,9 +51,7 @@ type TraceSpan struct {
 
 // WorkerTrace is one worker's share of a traced execution.
 type WorkerTrace struct {
-	// Shard is the owning database's shard index (0 when unsharded).
-	Shard int `json:"shard"`
-	// Worker is the pool index within its shard.
+	// Worker is the pool index.
 	Worker int `json:"worker"`
 	// Morsels is the number of root-scan morsels the worker processed.
 	Morsels int64 `json:"morsels"`
@@ -68,8 +66,7 @@ type WorkerTrace struct {
 
 // QueryTrace is the result of an EXPLAIN ANALYZE execution: the real count
 // and metrics of a full run plus the per-operator and per-worker split.
-// Traces from the shards of a cluster merge with Merge; Render formats the
-// tree for humans.
+// Render formats the tree for humans.
 type QueryTrace struct {
 	// Query is the traced query text.
 	Query string `json:"query"`
@@ -78,8 +75,7 @@ type QueryTrace struct {
 	// Metrics are the merged profiled metrics, bit-identical to
 	// CountProfiled on the same snapshot.
 	Metrics Metrics `json:"metrics"`
-	// Nanos is the execution's wall time (max across shards after Merge,
-	// since shards run concurrently).
+	// Nanos is the execution's wall time.
 	Nanos int64 `json:"nanos"`
 	// Morsels is the total number of root-scan morsels processed.
 	Morsels int64 `json:"morsels"`
@@ -92,58 +88,11 @@ type QueryTrace struct {
 	// Spans holds one exclusive span per plan operator plus a final span for
 	// the counting sink.
 	Spans []TraceSpan `json:"spans"`
-	// Workers is the per-worker split, tagged with the owning shard (empty
-	// for serial runs).
+	// Workers is the per-worker split (empty for serial runs).
 	Workers []WorkerTrace `json:"workers,omitempty"`
 	// Stopped is the governance stop reason when the trace is partial
 	// ("timeout", "i-cost budget", ...); empty for a completed run.
 	Stopped string `json:"stopped,omitempty"`
-}
-
-// Merge folds another shard's trace of the same query into t, tagging its
-// worker split with the shard index. Counts, metrics, and span counters sum
-// (the sharded invariant: per-shard sums are bit-identical to an unsharded
-// run); wall time takes the max, since shards execute concurrently. An
-// empty receiver adopts o wholesale.
-func (t *QueryTrace) Merge(o *QueryTrace, shard int) {
-	if o == nil {
-		return
-	}
-	if len(t.Spans) == 0 {
-		*t = *o
-		t.Spans = append([]TraceSpan(nil), o.Spans...)
-		t.Workers = append([]WorkerTrace(nil), o.Workers...)
-		for i := range t.Workers {
-			t.Workers[i].Shard = shard
-		}
-		return
-	}
-	t.Count += o.Count
-	t.Metrics.ICost += o.Metrics.ICost
-	t.Metrics.PredEvals += o.Metrics.PredEvals
-	t.Morsels += o.Morsels
-	t.Stolen += o.Stolen
-	if o.Nanos > t.Nanos {
-		t.Nanos = o.Nanos
-	}
-	for i := range t.Spans {
-		if i >= len(o.Spans) {
-			break
-		}
-		sp := o.Spans[i]
-		t.Spans[i].Calls += sp.Calls
-		t.Spans[i].Rows += sp.Rows
-		t.Spans[i].ICost += sp.ICost
-		t.Spans[i].PredEvals += sp.PredEvals
-		t.Spans[i].Nanos += sp.Nanos
-	}
-	for _, w := range o.Workers {
-		w.Shard = shard
-		t.Workers = append(t.Workers, w)
-	}
-	if t.Stopped == "" {
-		t.Stopped = o.Stopped
-	}
 }
 
 // Render formats the trace as an EXPLAIN ANALYZE tree: a header with the
@@ -178,7 +127,7 @@ func (t *QueryTrace) Render() string {
 			sp.PredEvals, time.Duration(sp.Nanos).Round(time.Microsecond))
 	}
 	for _, w := range t.Workers {
-		fmt.Fprintf(&b, "  worker shard=%d w=%d: morsels=%d", w.Shard, w.Worker, w.Morsels)
+		fmt.Fprintf(&b, "  worker w=%d: morsels=%d", w.Worker, w.Morsels)
 		if w.Stolen > 0 {
 			fmt.Fprintf(&b, " stolen=%d", w.Stolen)
 		}
@@ -233,7 +182,7 @@ func (db *DB) ExplainAnalyzeLimited(ctx context.Context, cypher string, limits Q
 		run.outcome = "panic"
 		return nil, db.recordPanic(err)
 	}
-	qt := buildQueryTrace(cypher, plan, rt, n, elapsed, db.Shard.Index)
+	qt := buildQueryTrace(cypher, plan, rt, n, elapsed)
 	qt.Metrics = m
 	if run.gov != nil && run.gov.Stopped() {
 		run.outcome = run.gov.Reason().String()
@@ -244,7 +193,7 @@ func (db *DB) ExplainAnalyzeLimited(ctx context.Context, cypher string, limits Q
 }
 
 // buildQueryTrace converts the exec layer's raw trace into the public form.
-func buildQueryTrace(cypher string, plan *exec.Plan, rt *exec.Runtime, n int64, elapsed time.Duration, shard int) *QueryTrace {
+func buildQueryTrace(cypher string, plan *exec.Plan, rt *exec.Runtime, n int64, elapsed time.Duration) *QueryTrace {
 	qt := &QueryTrace{
 		Query: cypher, Count: n,
 		Nanos: int64(elapsed), Morsels: rt.Trace.Morsels, Stolen: rt.Trace.Stolen,
@@ -266,7 +215,7 @@ func buildQueryTrace(cypher string, plan *exec.Plan, rt *exec.Runtime, n int64, 
 	}
 	for _, w := range rt.Trace.Workers {
 		qt.Workers = append(qt.Workers, WorkerTrace{
-			Shard: shard, Worker: w.Worker, Morsels: w.Morsels, Stolen: w.Stolen,
+			Worker: w.Worker, Morsels: w.Morsels, Stolen: w.Stolen,
 			Rows: w.Rows, ICost: w.ICost, PredEvals: w.PredEvals, Nanos: w.Nanos,
 		})
 	}

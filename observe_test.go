@@ -57,9 +57,6 @@ func TestExplainAnalyzeMatchesProfiled(t *testing.T) {
 			for _, ws := range tr.Workers {
 				wICost += ws.ICost
 				wRows += ws.Rows
-				if ws.Shard != 0 {
-					t.Errorf("unsharded worker tagged shard %d", ws.Shard)
-				}
 			}
 			if wICost != wantM.ICost {
 				t.Errorf("workers=%d: worker i-cost sum = %d, want %d", workers, wICost, wantM.ICost)
