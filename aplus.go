@@ -844,7 +844,7 @@ func (db *DB) Stats() Stats {
 	s := mgr.Acquire()
 	defer s.Release()
 	g := s.Graph()
-	is := s.Store().StatsLocked()
+	is := s.Store().Stats()
 	ms := mgr.Stats()
 	st := Stats{
 		NumVertices:                g.NumVertices(),

@@ -87,11 +87,6 @@ func Recommend(s *index.Store, workload []*query.Graph, budgetBytes int64) ([]Ca
 }
 
 func totalCost(s *index.Store, workload []*query.Graph) (float64, error) {
-	// Optimization reads index metadata and graph statistics; take the
-	// store's read lock so what-if scoring can run alongside writers (the
-	// build/drop steps take the write lock internally).
-	s.RLock()
-	defer s.RUnlock()
 	var total float64
 	for _, q := range workload {
 		plan, err := opt.Optimize(s, q, opt.ModeDefault)

@@ -161,7 +161,7 @@ func (c *CSR) Len() int { return len(c.nbr) }
 
 // OwnerRange returns the [lo, hi) entry range of everything under owner.
 // Owners added after the CSR was built have empty ranges (their edges live
-// in update buffers until the next merge).
+// in snapshot delta overlays until the next fold).
 func (c *CSR) OwnerRange(owner uint32) (lo, hi uint32) {
 	if int(owner) >= c.numOwners {
 		n := uint32(len(c.nbr))

@@ -97,7 +97,7 @@ func TestScanEdgeOpFullScan(t *testing.T) {
 
 func TestScanEdgeOpSkipsDeleted(t *testing.T) {
 	rt := exampleRuntime(t)
-	if err := rt.Store.DeleteEdge(storage.Transfer(4)); err != nil {
+	if err := rt.Store.Graph().DeleteEdge(storage.Transfer(4)); err != nil {
 		t.Fatal(err)
 	}
 	t4 := storage.Transfer(4)

@@ -7,15 +7,20 @@ import (
 	"github.com/aplusdb/aplus/internal/gen"
 	"github.com/aplusdb/aplus/internal/index"
 	"github.com/aplusdb/aplus/internal/pred"
+	"github.com/aplusdb/aplus/internal/snap"
 	"github.com/aplusdb/aplus/internal/storage"
 )
 
 // Maintenance reproduces the Section V-F micro-benchmark: load 50% of a
-// dataset, then insert the remaining edges one at a time through the
-// update-buffer path, under five configurations of increasing maintenance
-// work: Ds (no partitioning, neighbour-sorted), Dp (label-partitioned),
-// Dps (label-partitioned + sorted), Dps+VPt, and Dps+EPt (banded time
-// predicate at ~1% selectivity).
+// dataset, then insert the remaining edges one at a time through the path
+// DB.AddEdge runs (a singleton snapshot commit into the delta overlay,
+// folded into a fresh base every snap.DefaultMergeThreshold pending ops),
+// under five configurations of increasing maintenance work: Ds (no
+// partitioning, neighbour-sorted), Dp (label-partitioned), Dps
+// (label-partitioned + sorted), Dps+VPt, and Dps+EPt (banded time
+// predicate at ~1% selectivity). The clock stops after a final fold, so
+// every timed insert has reached the indexes; the folded store must then
+// equal a from-scratch rebuild or the run panics.
 func Maintenance(o Options) []Row {
 	w := o.out()
 	header(w, "Maintenance: insert throughput (Section V-F)")
@@ -37,13 +42,22 @@ func Maintenance(o Options) []Row {
 			for _, create := range mc.secondaries {
 				create(s)
 			}
+			m := snap.NewManagerFromStore(s, s.Graph(), snap.Options{})
 			start := time.Now()
 			for _, e := range pending {
-				if _, err := s.InsertEdge(e.src, e.dst, e.label, e.props); err != nil {
+				if err := m.CommitSingle(func(b *snap.Batch) error {
+					_, err := b.AddEdge(e.src, e.dst, e.label, e.props)
+					return err
+				}); err != nil {
 					panic(err)
 				}
 			}
+			if err := m.Merge(); err != nil {
+				panic(err)
+			}
 			secs := time.Since(start).Seconds()
+			verifyFolded(m, name, mc.name)
+			m.Close()
 			rate := float64(len(pending)) / secs
 			fmt.Fprintf(w, "%-8s %-9s %8d inserts in %8.3fs  -> %10.0f edges/s\n",
 				name, mc.name, len(pending), secs, rate)
@@ -54,6 +68,41 @@ func Maintenance(o Options) []Row {
 		}
 	}
 	return rows
+}
+
+// verifyFolded panics unless the manager's folded base store equals a
+// from-scratch rebuild over the same graph: equal footprint and indexed
+// edge counts, and every primary list equal element for element.
+func verifyFolded(m *snap.Manager, dataset, config string) {
+	sn := m.Acquire()
+	defer sn.Release()
+	if !sn.Delta().Empty() {
+		panic(fmt.Sprintf("maintenance %s %s: %d ops still pending after the final fold", dataset, config, sn.Delta().Pending()))
+	}
+	got := sn.Store()
+	want, err := got.CloneRebuilt(got.Graph(), got.Primary().Config())
+	if err != nil {
+		panic(err)
+	}
+	if gs, ws := got.Stats(), want.Stats(); gs != ws {
+		panic(fmt.Sprintf("maintenance %s %s: folded store stats %+v, rebuild %+v", dataset, config, gs, ws))
+	}
+	for v := 0; v < got.Graph().NumVertices(); v++ {
+		for _, dir := range []index.Direction{index.FW, index.BW} {
+			gl := got.Primary().List(dir, storage.VertexID(v), nil)
+			wl := want.Primary().List(dir, storage.VertexID(v), nil)
+			if gl.Len() != wl.Len() {
+				panic(fmt.Sprintf("maintenance %s %s: %v list of %d has %d entries, rebuild %d", dataset, config, dir, v, gl.Len(), wl.Len()))
+			}
+			for i := 0; i < gl.Len(); i++ {
+				gn, ge := gl.Get(i)
+				wn, we := wl.Get(i)
+				if gn != wn || ge != we {
+					panic(fmt.Sprintf("maintenance %s %s: %v list of %d differs at %d: (%d,%d) vs rebuild (%d,%d)", dataset, config, dir, v, i, gn, ge, wn, we))
+				}
+			}
+		}
+	}
 }
 
 type pendingEdge struct {

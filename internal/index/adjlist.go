@@ -10,7 +10,7 @@ import (
 // secondary lists resolve byte-packed offsets through the owner's primary
 // list range (the indirection of Section III-B3).
 type AdjList struct {
-	// Direct ID-list storage (primary indexes and merged buffers).
+	// Direct ID-list storage (primary indexes and delta-spliced lists).
 	nbrs []uint32
 	eids []uint64
 
@@ -65,9 +65,9 @@ func (l AdjList) Edge(i int) storage.EdgeID {
 }
 
 // Direct returns the raw (nbr, eid) payload arrays when the list is stored
-// directly (primary indexes and merged buffers), letting executors read it
-// with zero copies; ok is false for offset lists, which need DecodeInto.
-// Callers must not mutate the returned slices.
+// directly (primary indexes and delta-spliced lists), letting executors
+// read it with zero copies; ok is false for offset lists, which need
+// DecodeInto. Callers must not mutate the returned slices.
 func (l AdjList) Direct() (nbrs []uint32, eids []uint64, ok bool) {
 	if l.baseNbrs != nil {
 		return nil, nil, false

@@ -122,10 +122,9 @@ func DecodeEPDef(r *enc.Reader) EPDef {
 
 // EncodeStore appends a checkpoint image of a frozen base store: the primary
 // configuration and CSRs plus every secondary index descriptor. The store
-// must be a published (immutable) base with no buffered maintenance state —
-// exactly what the snapshot layer hands to checkpoint writers. The graph is
-// encoded separately (storage.EncodeGraph); DecodeStore stitches them back
-// together.
+// must be a published (immutable) base, exactly what the snapshot layer
+// hands to checkpoint writers. The graph is encoded separately
+// (storage.EncodeGraph); DecodeStore stitches them back together.
 func EncodeStore(w *enc.Writer, s *Store) {
 	EncodeConfig(w, s.primary.cfg)
 	w.Uvarint(uint64(s.primary.edgeBound))
@@ -187,10 +186,8 @@ func DecodeStore(r *enc.Reader, g *storage.Graph) (*Store, error) {
 		fw:        fw,
 		bw:        bw,
 		edgeBound: edgeBound,
-		fwBuf:     make(map[uint32][]bufEntry),
-		bwBuf:     make(map[uint32][]bufEntry),
 	}
-	s := &Store{g: g, primary: p, MergeThreshold: DefaultMergeThreshold}
+	s := &Store{g: g, primary: p}
 	for n := r.Len(1); n > 0; n-- {
 		def := DecodeVPDef(r)
 		if r.Err() != nil {

@@ -38,6 +38,15 @@ type deltaOp struct {
 	e   storage.EdgeID
 }
 
+// bufEntry is one inserted edge in an owner's delta run, carrying what
+// index order compares: bucket codes, sort ordinals, neighbour, edge.
+type bufEntry struct {
+	nbr   uint32
+	eid   uint64
+	sort  [2]uint64
+	codes []uint16
+}
+
 // delRec marks one base edge deleted from one owner's list, carrying the
 // edge's partition codes so prefix-restricted length math stays exact.
 type delRec struct {
@@ -484,4 +493,28 @@ func RebaseDelta(parent *Delta, from int, p *Primary, g *storage.Graph) (*Delta,
 		return nil, false
 	}
 	return b.Freeze(), true
+}
+
+func bufLess(a, b bufEntry) bool {
+	for i := 0; i < len(a.codes) && i < len(b.codes); i++ {
+		if a.codes[i] != b.codes[i] {
+			return a.codes[i] < b.codes[i]
+		}
+	}
+	if a.sort != b.sort {
+		return a.sort[0] < b.sort[0] || (a.sort[0] == b.sort[0] && a.sort[1] < b.sort[1])
+	}
+	if a.nbr != b.nbr {
+		return a.nbr < b.nbr
+	}
+	return a.eid < b.eid
+}
+
+func prefixMatches(entryCodes, prefix []uint16) bool {
+	for i, c := range prefix {
+		if entryCodes[i] != c {
+			return false
+		}
+	}
+	return true
 }

@@ -3,8 +3,8 @@
 // vertex-partitioned indexes over 1-hop views (Section III-B1), secondary
 // edge-partitioned indexes over 2-hop views (Section III-B2), offset-list
 // storage (Section III-B3), the INDEX STORE consulted by the optimizer
-// (Section IV-A), and maintenance with update buffers and tombstones
-// (Section IV-C).
+// (Section IV-A), and maintenance through snapshot delta overlays folded
+// incrementally into successor stores (Section IV-C).
 package index
 
 import (

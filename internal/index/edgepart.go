@@ -81,7 +81,6 @@ type EdgePartitioned struct {
 	primary *Primary
 	levels  []level
 	lists   *csr.OffsetLists
-	buf     map[uint64][]bufEntry // keyed by bound edge
 }
 
 // BuildEdgePartitioned materializes the 2-hop view and builds its offset
@@ -94,7 +93,7 @@ func BuildEdgePartitioned(p *Primary, def EPDef) (*EdgePartitioned, error) {
 	if err := validate2HopPred(def.View.Pred); err != nil {
 		return nil, fmt.Errorf("index: 2-hop view %q: %w", def.View.Name, err)
 	}
-	ep := &EdgePartitioned{def: def, primary: p, buf: make(map[uint64][]bufEntry)}
+	ep := &EdgePartitioned{def: def, primary: p}
 	if err := ep.build(); err != nil {
 		return nil, err
 	}
@@ -255,93 +254,7 @@ func (ep *EdgePartitioned) List(eb storage.EdgeID, codes []uint16) AdjList {
 	adjDir := ep.def.View.Dir.AdjDirection()
 	owner := ep.ownerVertex(eb)
 	baseNbrs, baseEids := ep.primary.ownerSlices(adjDir, owner)
-	base := OffsetList(ep.lists.BucketList(uint32(eb), codes), baseNbrs, baseEids)
-	buf := ep.buf[uint64(eb)]
-	if len(buf) == 0 && ep.primary.tombstones == 0 {
-		return base
-	}
-	matching := filterPrefix(buf, codes)
-	if len(matching) == 0 && ep.primary.tombstones == 0 {
-		return base
-	}
-	return mergeBuffered(ep.primary.g, base, matching, ep.levels, ep.def.Cfg.Sorts, ep.primary.tombstones > 0)
-}
-
-// applyInsert performs the two delta-query maintenance steps of Section
-// IV-C for a new edge e: (1) insert e into the lists of every adjacent
-// bound edge eb whose predicate accepts (eb, e); (2) build the new list
-// bound to e itself by scanning the appropriate primary adjacency of e's
-// owner vertex.
-func (ep *EdgePartitioned) applyInsert(e storage.EdgeID) bool {
-	g := ep.primary.g
-	adjDir := ep.def.View.Dir.AdjDirection()
-	resolved := ep.ResolvedPred()
-
-	// Step 1: e is a candidate eadj for existing bound edges. The bound
-	// edges adjacent to e are those whose owner vertex equals e's "anchor":
-	// for Destination-* views eb.dst must equal the anchor; for Source-*
-	// views eb.src must.
-	var anchor storage.VertexID
-	var nbr storage.VertexID
-	if adjDir == FW {
-		anchor, nbr = g.Src(e), g.Dst(e)
-	} else {
-		anchor, nbr = g.Dst(e), g.Src(e)
-	}
-	// Candidate bound edges: edges whose owner vertex is anchor.
-	var boundDir Direction
-	if ep.def.View.Dir.BoundIsDst() {
-		boundDir = BW // edges whose destination is anchor = anchor's backward list
-	} else {
-		boundDir = FW
-	}
-	cand := ep.primary.List(boundDir, anchor, nil)
-	levels := ep.levels
-	codes, ok := codesForInsert(g, levels, e, nbr)
-	if !ok {
-		return false
-	}
-	for i := 0; i < cand.Len(); i++ {
-		_, eb := cand.Get(i)
-		if eb == e {
-			continue
-		}
-		if resolved.Eval(pred.EdgeCtx{G: g, Adj: e, Bound: eb, HasBound: true}) {
-			ep.buf[uint64(eb)] = append(ep.buf[uint64(eb)], bufEntry{
-				nbr: uint32(nbr), eid: uint64(e),
-				sort:  sortOrdinals(g, ep.def.Cfg.Sorts, e, nbr),
-				codes: codes,
-			})
-		}
-	}
-
-	// Step 2: build the list bound to e.
-	owner := ep.ownerVertex(e)
-	adj := ep.primary.List(adjDir, owner, nil)
-	for i := 0; i < adj.Len(); i++ {
-		an, ae := adj.Get(i)
-		if ae == e {
-			continue
-		}
-		if resolved.Eval(pred.EdgeCtx{G: g, Adj: ae, Bound: e, HasBound: true}) {
-			aCodes, ok := codesForInsert(g, levels, ae, an)
-			if !ok {
-				return false
-			}
-			ep.buf[uint64(e)] = append(ep.buf[uint64(e)], bufEntry{
-				nbr: uint32(an), eid: uint64(ae),
-				sort:  sortOrdinals(g, ep.def.Cfg.Sorts, ae, an),
-				codes: aCodes,
-			})
-		}
-	}
-	return true
-}
-
-// rebuild reconstructs the offset lists after the primary was rebuilt.
-func (ep *EdgePartitioned) rebuild() error {
-	ep.buf = make(map[uint64][]bufEntry)
-	return ep.build()
+	return OffsetList(ep.lists.BucketList(uint32(eb), codes), baseNbrs, baseEids)
 }
 
 // NumIndexedEdges returns the number of stored (bound edge, adjacent edge)

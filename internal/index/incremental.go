@@ -17,14 +17,12 @@ import (
 // element-for-element equal (checkpoint encodings stay bit-identical) and
 // every secondary answers exactly as a from-scratch build would.
 //
-// The incremental path declines (returns ok=false) whenever equivalence
-// cannot be guaranteed cheaply, and the caller falls back to CloneRebuilt:
-//   - a partition level's categorical cardinality changed under the new
-//     graph (the bucket space shifted);
-//   - the base carries buffered maintenance state (never true for frozen
-//     snapshot bases).
-// Deltas that were unbufferable in the first place never reach a fold —
-// commits with unknown categorical values rebuild synchronously.
+// The incremental path declines (returns ok=false) when a partition
+// level's categorical cardinality changed under the new graph (the bucket
+// space shifted), since equivalence then cannot be guaranteed cheaply; the
+// caller falls back to CloneRebuilt. Deltas that were unbufferable in the
+// first place never reach a fold — commits with unknown categorical values
+// rebuild synchronously.
 
 // DefaultIncrementalDirtyFraction is the dirty-owner fraction above which
 // the snapshot merger prefers a full rebuild: patching nearly every owner
@@ -96,9 +94,6 @@ func levelsCompatible(base, fresh []level) bool {
 // incrementalPrimary builds the successor primary for graph g2 (the fold's
 // clone, tombstones applied) by patching only the delta's dirty owners.
 func incrementalPrimary(base *Primary, g2 *storage.Graph, d *Delta, dirty dirtyOwners) (*Primary, bool) {
-	if base.pendingWork() != 0 {
-		return nil, false // only frozen, buffer-free bases are patchable
-	}
 	levels, err := buildLevels(g2, base.cfg.Partitions)
 	if err != nil || !levelsCompatible(base.levels, levels) {
 		return nil, false
@@ -108,8 +103,6 @@ func incrementalPrimary(base *Primary, g2 *storage.Graph, d *Delta, dirty dirtyO
 		cfg:       base.cfg,
 		levels:    levels,
 		edgeBound: storage.EdgeID(g2.NumEdges()),
-		fwBuf:     make(map[uint32][]bufEntry),
-		bwBuf:     make(map[uint32][]bufEntry),
 	}
 	p.fw = patchPrimaryCSR(base, FW, g2, d, dirty[FW])
 	p.bw = patchPrimaryCSR(base, BW, g2, d, dirty[BW])
@@ -266,7 +259,7 @@ func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, d
 		if od.shared {
 			sharedWith = c
 		}
-		nd := &vpDir{shared: od.shared, buf: make(map[uint32][]bufEntry)}
+		nd := &vpDir{shared: od.shared}
 		if !od.shared {
 			nd.levels = levels
 		}
@@ -386,7 +379,7 @@ func incrementalEdgePartitioned(ep *EdgePartitioned, np *Primary, d *Delta, dirt
 		offs, buckets := splitSecEntries(es)
 		pt.ReplaceOwner(ebi, offs, buckets)
 	}
-	nep := &EdgePartitioned{def: ep.def, primary: np, levels: levels, buf: make(map[uint64][]bufEntry)}
+	nep := &EdgePartitioned{def: ep.def, primary: np, levels: levels}
 	nep.lists = pt.Build(func(owner uint32) uint32 {
 		eb := storage.EdgeID(owner)
 		if g.EdgeDeleted(eb) {
@@ -414,7 +407,7 @@ func (s *Store) CloneIncremental(g2 *storage.Graph, d *Delta) (*Store, bool) {
 	if !ok {
 		return nil, false
 	}
-	ns := &Store{g: g2, primary: np, MergeThreshold: s.MergeThreshold}
+	ns := &Store{g: g2, primary: np}
 	for _, v := range s.vps {
 		nv, ok := incrementalVertexPartitioned(v, np, d, dirty)
 		if !ok {

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"sort"
-
 	"github.com/aplusdb/aplus/internal/csr"
 	"github.com/aplusdb/aplus/internal/pred"
 	"github.com/aplusdb/aplus/internal/storage"
@@ -22,20 +20,6 @@ type Primary struct {
 	// edges at or past it live only in snapshot delta overlays until the
 	// next merge.
 	edgeBound storage.EdgeID
-
-	// Maintenance state (Section IV-C): per-owner update buffers holding
-	// freshly inserted edges until the next merge, plus a count of pending
-	// tombstones that forces lists to filter deleted edges.
-	fwBuf, bwBuf map[uint32][]bufEntry
-	buffered     int
-	tombstones   int
-}
-
-type bufEntry struct {
-	nbr   uint32
-	eid   uint64
-	sort  [2]uint64
-	codes []uint16
 }
 
 // BuildPrimary constructs the primary indexes over every live edge of g
@@ -53,8 +37,6 @@ func BuildPrimary(g *storage.Graph, cfg Config) (*Primary, error) {
 		cfg:       cfg,
 		levels:    levels,
 		edgeBound: storage.EdgeID(g.NumEdges()),
-		fwBuf:     make(map[uint32][]bufEntry),
-		bwBuf:     make(map[uint32][]bufEntry),
 	}
 	cards := levelCards(levels)
 	fb := csr.NewBuilder(g.NumVertices(), cards)
@@ -104,13 +86,6 @@ func (p *Primary) dirCSR(dir Direction) *csr.CSR {
 	return p.bw
 }
 
-func (p *Primary) dirBuf(dir Direction) map[uint32][]bufEntry {
-	if dir == FW {
-		return p.fwBuf
-	}
-	return p.bwBuf
-}
-
 // ResolveCodes maps a prefix of partition-key values to bucket codes. It
 // returns ok=false when some value can never occur, meaning the matching
 // list is provably empty.
@@ -134,27 +109,15 @@ func (p *Primary) ResolveCodes(vals []storage.Value) ([]uint16, bool) {
 func (p *Primary) EdgeBound() storage.EdgeID { return p.edgeBound }
 
 // List returns the adjacency list of v under dir, restricted to the bucket
-// prefix codes (possibly empty = the whole neighbourhood). Pending update
-// buffers and tombstones are merged in, preserving sort order. Vertices
-// added after the build (snapshot deltas) have an empty base list.
+// prefix codes (possibly empty = the whole neighbourhood). Vertices added
+// after the build (snapshot deltas) have an empty list.
 func (p *Primary) List(dir Direction, v storage.VertexID, codes []uint16) AdjList {
 	c := p.dirCSR(dir)
-	var base AdjList
-	if int(v) < c.NumOwners() {
-		lo, hi := c.PrefixRange(uint32(v), codes)
-		base = DirectList(c.Nbrs()[lo:hi], c.EIDs()[lo:hi])
+	if int(v) >= c.NumOwners() {
+		return AdjList{}
 	}
-	buf := p.dirBuf(dir)[uint32(v)]
-	if len(buf) == 0 && p.tombstones == 0 {
-		return base
-	}
-	return p.mergeList(dir, base, buf, codes, v)
-}
-
-// OwnerList returns the full list of v under dir — the range secondary
-// offsets resolve into.
-func (p *Primary) OwnerList(dir Direction, v storage.VertexID) AdjList {
-	return p.List(dir, v, nil)
+	lo, hi := c.PrefixRange(uint32(v), codes)
+	return DirectList(c.Nbrs()[lo:hi], c.EIDs()[lo:hi])
 }
 
 // ownerSlices returns the raw owner-range arrays for offset resolution.
@@ -167,8 +130,8 @@ func (p *Primary) ownerSlices(dir Direction, v storage.VertexID) ([]uint32, []ui
 	return c.Nbrs()[lo:hi], c.EIDs()[lo:hi]
 }
 
-// OwnerLen returns the number of entries in v's full list under dir,
-// excluding pending buffers (the sizing basis for offset widths).
+// OwnerLen returns the number of entries in v's full list under dir (the
+// sizing basis for offset widths).
 func (p *Primary) OwnerLen(dir Direction, v storage.VertexID) uint32 {
 	c := p.dirCSR(dir)
 	if int(v) >= c.NumOwners() {
@@ -176,139 +139,6 @@ func (p *Primary) OwnerLen(dir Direction, v storage.VertexID) uint32 {
 	}
 	lo, hi := c.OwnerRange(uint32(v))
 	return hi - lo
-}
-
-// Deg returns the merged degree of v under dir, including buffers.
-func (p *Primary) Deg(dir Direction, v storage.VertexID) int {
-	return p.List(dir, v, nil).Len()
-}
-
-// mergeList merges buffered inserts into a base list and filters
-// tombstones, preserving the index order (bucket codes, sort keys,
-// neighbour ID, edge ID).
-func (p *Primary) mergeList(dir Direction, base AdjList, buf []bufEntry, codes []uint16, v storage.VertexID) AdjList {
-	matching := filterPrefix(buf, codes)
-	if len(matching) == 0 && p.tombstones == 0 {
-		return base
-	}
-	return mergeBuffered(p.g, base, matching, p.levels, p.cfg.Sorts, p.tombstones > 0)
-}
-
-// filterPrefix keeps buffered entries whose bucket codes start with prefix.
-func filterPrefix(buf []bufEntry, prefix []uint16) []bufEntry {
-	matching := make([]bufEntry, 0, len(buf))
-	for _, be := range buf {
-		if prefixMatches(be.codes, prefix) {
-			matching = append(matching, be)
-		}
-	}
-	return matching
-}
-
-// mergeBuffered interleaves buffered entries into a base list in full index
-// order and drops tombstoned edges. Base entries' bucket codes are
-// recomputed from the levels (they are always in range: the CSR and its
-// levels are rebuilt together).
-func mergeBuffered(g *storage.Graph, base AdjList, matching []bufEntry, levels []level, sorts []SortKey, filterDeleted bool) AdjList {
-	sort.Slice(matching, func(i, j int) bool { return bufLess(matching[i], matching[j]) })
-	n := base.Len()
-	nbrs := make([]uint32, 0, n+len(matching))
-	eids := make([]uint64, 0, n+len(matching))
-	bi := 0
-	var codeBuf []uint16
-	for i := 0; i < n; i++ {
-		nb, e := base.Get(i)
-		if filterDeleted && g.EdgeDeleted(e) {
-			continue
-		}
-		codeBuf = codesFor(levels, e, nb, codeBuf)
-		cur := bufEntry{nbr: uint32(nb), eid: uint64(e), sort: sortOrdinals(g, sorts, e, nb), codes: codeBuf}
-		for bi < len(matching) && bufLess(matching[bi], cur) {
-			nbrs = append(nbrs, matching[bi].nbr)
-			eids = append(eids, matching[bi].eid)
-			bi++
-		}
-		nbrs = append(nbrs, uint32(nb))
-		eids = append(eids, uint64(e))
-	}
-	for ; bi < len(matching); bi++ {
-		nbrs = append(nbrs, matching[bi].nbr)
-		eids = append(eids, matching[bi].eid)
-	}
-	return DirectList(nbrs, eids)
-}
-
-func bufLess(a, b bufEntry) bool {
-	for i := 0; i < len(a.codes) && i < len(b.codes); i++ {
-		if a.codes[i] != b.codes[i] {
-			return a.codes[i] < b.codes[i]
-		}
-	}
-	if a.sort != b.sort {
-		return a.sort[0] < b.sort[0] || (a.sort[0] == b.sort[0] && a.sort[1] < b.sort[1])
-	}
-	if a.nbr != b.nbr {
-		return a.nbr < b.nbr
-	}
-	return a.eid < b.eid
-}
-
-func prefixMatches(entryCodes, prefix []uint16) bool {
-	for i, c := range prefix {
-		if entryCodes[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
-// applyInsert buffers a freshly inserted edge in both directions. ok is
-// false when the edge carries a categorical value unknown to the current
-// partition levels, which requires a rebuild instead.
-func (p *Primary) applyInsert(e storage.EdgeID) bool {
-	src, dst := p.g.Src(e), p.g.Dst(e)
-	fwCodes, ok1 := codesForInsert(p.g, p.levels, e, dst)
-	bwCodes, ok2 := codesForInsert(p.g, p.levels, e, src)
-	if !ok1 || !ok2 {
-		return false
-	}
-	p.fwBuf[uint32(src)] = append(p.fwBuf[uint32(src)], bufEntry{
-		nbr: uint32(dst), eid: uint64(e), sort: sortOrdinals(p.g, p.cfg.Sorts, e, dst), codes: fwCodes,
-	})
-	p.bwBuf[uint32(dst)] = append(p.bwBuf[uint32(dst)], bufEntry{
-		nbr: uint32(src), eid: uint64(e), sort: sortOrdinals(p.g, p.cfg.Sorts, e, src), codes: bwCodes,
-	})
-	p.buffered++
-	return true
-}
-
-// applyDelete records a tombstone (the graph itself marks the edge).
-func (p *Primary) applyDelete() { p.tombstones++ }
-
-// pendingWork reports the amount of buffered maintenance state.
-func (p *Primary) pendingWork() int { return p.buffered + p.tombstones }
-
-// rebuild reconstructs the CSRs from the graph and clears buffers.
-func (p *Primary) rebuild() error {
-	// Vertices may have been added since the last build; the level
-	// categoricals may also have grown.
-	levels, err := buildLevels(p.g, p.cfg.Partitions)
-	if err != nil {
-		return err
-	}
-	p.levels = levels
-	fresh, err := BuildPrimary(p.g, p.cfg)
-	if err != nil {
-		return err
-	}
-	p.fw, p.bw = fresh.fw, fresh.bw
-	p.levels = fresh.levels
-	p.edgeBound = fresh.edgeBound
-	p.fwBuf = make(map[uint32][]bufEntry)
-	p.bwBuf = make(map[uint32][]bufEntry)
-	p.buffered = 0
-	p.tombstones = 0
-	return nil
 }
 
 // MemoryBytes reports (partition levels, ID lists) bytes across both

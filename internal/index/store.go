@@ -2,55 +2,25 @@ package index
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/aplusdb/aplus/internal/storage"
 )
-
-// DefaultMergeThreshold is the number of buffered maintenance operations
-// after which update buffers are merged into the index pages (Section IV-C:
-// "The update buffers are merged into the actual data pages when the buffer
-// is full").
-const DefaultMergeThreshold = 4096
 
 // Store is the INDEX STORE of Section IV-A: it owns the primary A+ indexes
 // and every secondary index, maintains their metadata for the optimizer,
 // and coordinates updates across them.
 //
-// Concurrency: every mutating method (InsertEdge, DeleteEdge, Flush,
-// Reconfigure, Create*, DropIndex) takes the store's write lock. Readers —
-// the optimizer and query workers — do not lock per access; instead they
-// bracket whole queries with RLock/RUnlock, so a query observes one
-// consistent index state and writes wait for in-flight queries to drain.
+// Concurrency: a Store published in a snapshot is frozen and read without
+// locks. Writes never touch it: they stage in a snapshot delta overlay
+// that a fold turns into a successor store (CloneIncremental or
+// CloneRebuilt). The mutating methods (Reconfigure, Create*, DropIndex)
+// are for stores that are still private to their builder.
 type Store struct {
 	g       *storage.Graph
 	primary *Primary
 	vps     []*VertexPartitioned
 	eps     []*EdgePartitioned
-
-	// mu is the coarse reader/writer lock described above.
-	mu sync.RWMutex
-
-	// MergeThreshold controls how much buffered maintenance work may
-	// accumulate before a merge; tests lower it to exercise merging.
-	MergeThreshold int
 }
-
-// RLock takes the store's read lock. Bracket each query's planning and
-// execution with RLock/RUnlock so index mutations wait for it to finish.
-func (s *Store) RLock() { s.mu.RLock() }
-
-// RUnlock releases the read lock taken by RLock.
-func (s *Store) RUnlock() { s.mu.RUnlock() }
-
-// Lock takes the store's write lock, excluding all queries. It is for
-// callers that mutate shared state the store's own write methods do not
-// cover (e.g. appending vertices to the underlying graph); the store's
-// write methods lock internally and must not be called while holding it.
-func (s *Store) Lock() { s.mu.Lock() }
-
-// Unlock releases the write lock taken by Lock.
-func (s *Store) Unlock() { s.mu.Unlock() }
 
 // NewStore builds a store over g with the primary indexes configured by
 // cfg (use DefaultConfig for GraphflowDB's default).
@@ -59,7 +29,7 @@ func NewStore(g *storage.Graph, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{g: g, primary: p, MergeThreshold: DefaultMergeThreshold}, nil
+	return &Store{g: g, primary: p}, nil
 }
 
 // Graph returns the underlying graph.
@@ -78,11 +48,6 @@ func (s *Store) EdgeIndexes() []*EdgePartitioned { return s.eps }
 // paper's RECONFIGURE PRIMARY INDEXES command) and rebuilds every secondary
 // index, since their offsets reference primary list positions.
 func (s *Store) Reconfigure(cfg Config) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
 	p, err := BuildPrimary(s.g, cfg)
 	if err != nil {
 		return err
@@ -96,7 +61,7 @@ func (s *Store) Reconfigure(cfg Config) error {
 	}
 	for _, e := range s.eps {
 		e.primary = p
-		if err := e.rebuild(); err != nil {
+		if err := e.build(); err != nil {
 			return err
 		}
 	}
@@ -106,13 +71,8 @@ func (s *Store) Reconfigure(cfg Config) error {
 // CreateVertexPartitioned builds and registers a secondary
 // vertex-partitioned index (the paper's CREATE 1-HOP VIEW command).
 func (s *Store) CreateVertexPartitioned(def VPDef) (*VertexPartitioned, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.lookupName(def.View.Name) {
 		return nil, fmt.Errorf("index: an index named %q already exists", def.View.Name)
-	}
-	if err := s.flushLocked(); err != nil {
-		return nil, err
 	}
 	v, err := BuildVertexPartitioned(s.primary, def)
 	if err != nil {
@@ -125,13 +85,8 @@ func (s *Store) CreateVertexPartitioned(def VPDef) (*VertexPartitioned, error) {
 // CreateEdgePartitioned builds and registers a secondary edge-partitioned
 // index (the paper's CREATE 2-HOP VIEW command).
 func (s *Store) CreateEdgePartitioned(def EPDef) (*EdgePartitioned, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.lookupName(def.View.Name) {
 		return nil, fmt.Errorf("index: an index named %q already exists", def.View.Name)
-	}
-	if err := s.flushLocked(); err != nil {
-		return nil, err
 	}
 	e, err := BuildEdgePartitioned(s.primary, def)
 	if err != nil {
@@ -143,8 +98,6 @@ func (s *Store) CreateEdgePartitioned(def EPDef) (*EdgePartitioned, error) {
 
 // DropIndex removes a secondary index by name.
 func (s *Store) DropIndex(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i, v := range s.vps {
 		if v.Name() == name {
 			s.vps = append(s.vps[:i], s.vps[i+1:]...)
@@ -174,91 +127,6 @@ func (s *Store) lookupName(name string) bool {
 	return false
 }
 
-// InsertEdge adds an edge with properties to the graph and maintains every
-// index: the edge lands in update buffers first and is merged into data
-// pages when the merge threshold is reached (Section IV-C).
-func (s *Store) InsertEdge(src, dst storage.VertexID, label string, props map[string]storage.Value) (storage.EdgeID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, err := s.g.AddEdge(src, dst, label)
-	if err != nil {
-		return 0, err
-	}
-	for k, v := range props {
-		if err := s.g.SetEdgeProp(e, k, v); err != nil {
-			return 0, err
-		}
-	}
-	ok := s.primary.applyInsert(e)
-	for _, v := range s.vps {
-		ok = ok && v.applyInsert(e)
-	}
-	for _, ep := range s.eps {
-		ok = ok && ep.applyInsert(e)
-	}
-	if !ok {
-		// The edge carries a categorical value unknown to some partition
-		// level; buffering is impossible, rebuild unconditionally.
-		if err := s.rebuildAll(); err != nil {
-			return 0, err
-		}
-		return e, nil
-	}
-	if s.primary.pendingWork() >= s.MergeThreshold {
-		if err := s.flushLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return e, nil
-}
-
-// DeleteEdge tombstones an edge in the graph and the indexes; the tombstone
-// is physically removed at the next merge.
-func (s *Store) DeleteEdge(e storage.EdgeID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.g.DeleteEdge(e); err != nil {
-		return err
-	}
-	s.primary.applyDelete()
-	if s.primary.pendingWork() >= s.MergeThreshold {
-		return s.flushLocked()
-	}
-	return nil
-}
-
-// Flush merges all pending update buffers and tombstones by rebuilding the
-// primary CSRs and every secondary offset list.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *Store) flushLocked() error {
-	if s.primary.pendingWork() == 0 {
-		return nil
-	}
-	return s.rebuildAll()
-}
-
-func (s *Store) rebuildAll() error {
-	if err := s.primary.rebuild(); err != nil {
-		return err
-	}
-	for _, v := range s.vps {
-		if err := v.rebuild(); err != nil {
-			return err
-		}
-	}
-	for _, e := range s.eps {
-		if err := e.rebuild(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CloneRebuilt builds a brand-new store over g with the primary
 // configuration cfg and this store's secondary index definitions, leaving
 // the receiver untouched. It is the snapshot merger's fold step: g is a
@@ -269,7 +137,6 @@ func (s *Store) CloneRebuilt(g *storage.Graph, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	ns.MergeThreshold = s.MergeThreshold
 	for _, v := range s.vps {
 		nv, err := BuildVertexPartitioned(ns.primary, v.Def())
 		if err != nil {
@@ -329,11 +196,10 @@ func (s *Store) HasIndex(name string) bool { return s.lookupName(name) }
 
 func (s *Store) shallowCopy() *Store {
 	return &Store{
-		g:              s.g,
-		primary:        s.primary,
-		vps:            append([]*VertexPartitioned(nil), s.vps...),
-		eps:            append([]*EdgePartitioned(nil), s.eps...),
-		MergeThreshold: s.MergeThreshold,
+		g:       s.g,
+		primary: s.primary,
+		vps:     append([]*VertexPartitioned(nil), s.vps...),
+		eps:     append([]*EdgePartitioned(nil), s.eps...),
 	}
 }
 
@@ -357,14 +223,6 @@ func (st Stats) TotalBytes() int64 {
 
 // Stats reports the current footprint of all indexes.
 func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.StatsLocked()
-}
-
-// StatsLocked is Stats for callers already holding the store's read lock
-// (a second RLock would deadlock against a waiting writer).
-func (s *Store) StatsLocked() Stats {
 	var st Stats
 	st.PrimaryLevels, st.PrimaryIDLists = s.primary.MemoryBytes()
 	st.IndexedEdges = int64(s.g.NumLiveEdges())

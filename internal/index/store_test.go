@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/aplusdb/aplus/internal/pred"
@@ -66,251 +65,5 @@ func TestStoreCreateAndDrop(t *testing.T) {
 	st := s.Stats()
 	if st.TotalBytes() <= 0 || st.IndexedEdges <= 0 {
 		t.Error("stats broken")
-	}
-}
-
-func TestStoreInsertVisibleBeforeMerge(t *testing.T) {
-	s := exampleStore(t)
-	s.MergeThreshold = 1 << 30 // never merge
-	g := s.Graph()
-	before := s.Primary().List(FW, 0, nil).Len()
-	e, err := s.InsertEdge(0, 4, storage.LabelWire, map[string]storage.Value{
-		storage.PropAmount:   storage.Int(7),
-		storage.PropCurrency: storage.Str("$"),
-		storage.PropDate:     storage.Int(21),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := s.Primary().List(FW, 0, nil)
-	if l.Len() != before+1 {
-		t.Fatalf("buffered edge not visible: len %d, want %d", l.Len(), before+1)
-	}
-	// Sorted position preserved (default sort: nbr ID; new edge goes to v5).
-	prev := storage.VertexID(0)
-	codes, _ := s.Primary().ResolveCodes([]storage.Value{storage.Str(storage.LabelWire)})
-	wl := s.Primary().List(FW, 0, codes)
-	for i := 0; i < wl.Len(); i++ {
-		if wl.Nbr(i) < prev {
-			t.Error("merged list out of order")
-		}
-		prev = wl.Nbr(i)
-	}
-	// Backward direction too.
-	bl := s.Primary().List(BW, 4, nil)
-	found := false
-	for i := 0; i < bl.Len(); i++ {
-		if bl.Edge(i) == e {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("insert missing from backward list")
-	}
-	_ = g
-}
-
-func TestStoreInsertMergesAtThreshold(t *testing.T) {
-	s := exampleStore(t)
-	s.MergeThreshold = 4
-	for i := 0; i < 10; i++ {
-		if _, err := s.InsertEdge(0, 1, storage.LabelWire, map[string]storage.Value{
-			storage.PropAmount: storage.Int(int64(i)),
-			storage.PropDate:   storage.Int(int64(30 + i)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Primary().pendingWork() >= 10 {
-		t.Error("merges never happened")
-	}
-	// All 10 still visible.
-	codes, _ := s.Primary().ResolveCodes([]storage.Value{storage.Str(storage.LabelWire)})
-	l := s.Primary().List(FW, 0, codes)
-	if l.Len() != 3+10 {
-		t.Errorf("Wire list = %d entries, want 13", l.Len())
-	}
-}
-
-func TestStoreDeleteEdge(t *testing.T) {
-	s := exampleStore(t)
-	s.MergeThreshold = 1 << 30
-	t4 := storage.Transfer(4)
-	if err := s.DeleteEdge(t4); err != nil {
-		t.Fatal(err)
-	}
-	// Tombstone filtered from lists before merge.
-	codes, _ := s.Primary().ResolveCodes([]storage.Value{storage.Str(storage.LabelWire)})
-	l := s.Primary().List(FW, 0, codes)
-	for i := 0; i < l.Len(); i++ {
-		if l.Edge(i) == t4 {
-			t.Fatal("tombstoned edge still visible")
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Primary().List(FW, 0, codes).Len() != 2 {
-		t.Error("post-merge list wrong")
-	}
-}
-
-func TestStoreSecondariesMaintained(t *testing.T) {
-	s := exampleStore(t)
-	s.MergeThreshold = 1 << 30
-	vp, err := s.CreateVertexPartitioned(VPDef{
-		View: View1Hop{
-			Name: "BigAmt",
-			Pred: pred.Predicate{}.And(pred.ConstTerm(pred.VarAdj, storage.PropAmount, pred.GT, storage.Int(100))),
-		},
-		Dirs: []Direction{FW},
-		Cfg:  DefaultConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := s.CreateEdgePartitioned(moneyFlowDef())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := vp.List(FW, 0, nil).Len()
-	// Insert a big transfer from v1; it must appear in VP's buffered list.
-	e, err := s.InsertEdge(0, 4, storage.LabelWire, map[string]storage.Value{
-		storage.PropAmount: storage.Int(500),
-		storage.PropDate:   storage.Int(25),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vp.List(FW, 0, nil).Len() != before+1 {
-		t.Error("VP buffer not visible")
-	}
-	// A small transfer must not appear.
-	if _, err := s.InsertEdge(0, 4, storage.LabelWire, map[string]storage.Value{
-		storage.PropAmount: storage.Int(1),
-		storage.PropDate:   storage.Int(26),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if vp.List(FW, 0, nil).Len() != before+1 {
-		t.Error("VP admitted a non-matching edge")
-	}
-	// EP delta maintenance: the new edge e (v1->v5, amt 500, date 25)
-	// becomes a bound edge whose list holds v5's later/smaller transfers —
-	// none exist yet, then we add one.
-	e2, err := s.InsertEdge(4, 2, storage.LabelWire, map[string]storage.Value{
-		storage.PropAmount: storage.Int(100),
-		storage.PropDate:   storage.Int(27),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := ep.List(e, nil)
-	found := false
-	for i := 0; i < l.Len(); i++ {
-		if l.Edge(i) == e2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("EP delta maintenance missed the new 2-path; list = %v", listEdges(l))
-	}
-	// After a flush everything still holds.
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	l = ep.List(e, nil)
-	found = false
-	for i := 0; i < l.Len(); i++ {
-		if l.Edge(i) == e2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("EP list lost the pair after merge")
-	}
-}
-
-func TestStoreUnknownCategoricalForcesRebuild(t *testing.T) {
-	s := exampleStore(t)
-	if err := s.Reconfigure(Config{
-		Partitions: []PartitionKey{
-			{Var: pred.VarAdj, Prop: pred.PropLabel},
-			{Var: pred.VarAdj, Prop: storage.PropCurrency},
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.MergeThreshold = 1 << 30
-	// ¥ is a brand-new currency: the insert cannot be buffered under the
-	// old categorical and must trigger a rebuild.
-	if _, err := s.InsertEdge(0, 1, storage.LabelWire, map[string]storage.Value{
-		storage.PropCurrency: storage.Str("¥"),
-		storage.PropAmount:   storage.Int(1),
-		storage.PropDate:     storage.Int(30),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	codes, ok := s.Primary().ResolveCodes([]storage.Value{
-		storage.Str(storage.LabelWire), storage.Str("¥"),
-	})
-	if !ok {
-		t.Fatal("new currency should resolve after rebuild")
-	}
-	if s.Primary().List(FW, 0, codes).Len() != 1 {
-		t.Error("new-currency edge not indexed")
-	}
-}
-
-// TestStoreMaintenanceEquivalence streams random inserts through the
-// buffered path and checks lists match a from-scratch rebuild at every
-// step boundary.
-func TestStoreMaintenanceEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := storage.NewGraph()
-	n := 40
-	g.AddVertices(n, "A")
-	s, err := NewStore(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.MergeThreshold = 7
-	labels := []string{"W", "DD"}
-	for i := 0; i < 200; i++ {
-		src := storage.VertexID(rng.Intn(n))
-		dst := storage.VertexID(rng.Intn(n))
-		if _, err := s.InsertEdge(src, dst, labels[rng.Intn(2)], map[string]storage.Value{
-			"amt": storage.Int(int64(rng.Intn(100))),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if i%37 == 0 {
-			assertMatchesRebuild(t, s)
-		}
-	}
-	assertMatchesRebuild(t, s)
-}
-
-func assertMatchesRebuild(t *testing.T, s *Store) {
-	t.Helper()
-	fresh, err := BuildPrimary(s.Graph(), s.Primary().Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < s.Graph().NumVertices(); v++ {
-		for _, dir := range []Direction{FW, BW} {
-			got := s.Primary().List(dir, storage.VertexID(v), nil)
-			want := fresh.List(dir, storage.VertexID(v), nil)
-			if got.Len() != want.Len() {
-				t.Fatalf("v%d %v: len %d vs rebuild %d", v, dir, got.Len(), want.Len())
-			}
-			for i := 0; i < got.Len(); i++ {
-				gn, ge := got.Get(i)
-				wn, we := want.Get(i)
-				if gn != wn || ge != we {
-					t.Fatalf("v%d %v entry %d: (%d,%d) vs (%d,%d)", v, dir, i, gn, ge, wn, we)
-				}
-			}
-		}
 	}
 }

@@ -38,7 +38,6 @@ type vpDir struct {
 	lists  *csr.OffsetLists
 	levels []level // nil when sharing the primary's levels
 	shared bool
-	buf    map[uint32][]bufEntry
 }
 
 // BuildVertexPartitioned materializes the view and builds offset lists for
@@ -72,7 +71,7 @@ func (v *VertexPartitioned) buildDir(dir Direction) (*vpDir, error) {
 	p := v.primary
 	g := p.g
 	shared := v.def.View.Pred.IsTrue() && v.def.Cfg.SameStructure(p.cfg)
-	d := &vpDir{shared: shared, buf: make(map[uint32][]bufEntry)}
+	d := &vpDir{shared: shared}
 
 	var builder *csr.OffsetBuilder
 	var levels []level
@@ -164,24 +163,11 @@ func (v *VertexPartitioned) ResolveCodes(dir Direction, vals []storage.Value) ([
 }
 
 // List returns the view's adjacency list of owner under dir restricted to a
-// bucket-code prefix, merging any pending update buffer.
+// bucket-code prefix.
 func (v *VertexPartitioned) List(dir Direction, owner storage.VertexID, codes []uint16) AdjList {
 	d := v.dirs[dir]
 	baseNbrs, baseEids := v.primary.ownerSlices(dir, owner)
-	base := OffsetList(d.lists.BucketList(uint32(owner), codes), baseNbrs, baseEids)
-	buf := d.buf[uint32(owner)]
-	if len(buf) == 0 && v.primary.tombstones == 0 {
-		return base
-	}
-	matching := filterPrefix(buf, codes)
-	if len(matching) == 0 && v.primary.tombstones == 0 {
-		return base
-	}
-	levels := d.levels
-	if d.shared {
-		levels = v.primary.levels
-	}
-	return mergeBuffered(v.primary.g, base, matching, levels, v.def.Cfg.Sorts, v.primary.tombstones > 0)
+	return OffsetList(d.lists.BucketList(uint32(owner), codes), baseNbrs, baseEids)
 }
 
 // Pred returns the view predicate (with vnbr unresolved).
@@ -198,37 +184,6 @@ func (v *VertexPartitioned) Config() Config { return v.def.Cfg }
 // EffectiveSorts returns the complete ordering of the innermost lists.
 func (v *VertexPartitioned) EffectiveSorts() []SortKey {
 	return append(append([]SortKey(nil), v.def.Cfg.Sorts...), NbrIDSort)
-}
-
-// applyInsert buffers a freshly inserted edge if it passes the view
-// predicate, for every indexed direction. ok is false when a rebuild is
-// required (unknown categorical value).
-func (v *VertexPartitioned) applyInsert(e storage.EdgeID) bool {
-	g := v.primary.g
-	for dir, d := range v.dirs {
-		resolved := v.def.View.Pred.ResolveNbr(dir == FW)
-		if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{G: g, Adj: e}) {
-			continue
-		}
-		owner, nbr := g.Src(e), g.Dst(e)
-		if dir == BW {
-			owner, nbr = nbr, owner
-		}
-		levels := d.levels
-		if d.shared {
-			levels = v.primary.levels
-		}
-		codes, ok := codesForInsert(g, levels, e, nbr)
-		if !ok {
-			return false
-		}
-		d.buf[uint32(owner)] = append(d.buf[uint32(owner)], bufEntry{
-			nbr: uint32(nbr), eid: uint64(e),
-			sort:  sortOrdinals(g, v.def.Cfg.Sorts, e, nbr),
-			codes: codes,
-		})
-	}
-	return true
 }
 
 // rebuild reconstructs the offset lists after the primary was rebuilt.

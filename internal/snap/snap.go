@@ -33,7 +33,7 @@ import (
 // Options configure a Manager.
 type Options struct {
 	// MergeThreshold is the number of pending delta ops after which a
-	// commit schedules a merge (<= 0 = index.DefaultMergeThreshold).
+	// commit schedules a merge (<= 0 = DefaultMergeThreshold).
 	MergeThreshold int
 	// SyncMerge folds deltas synchronously inside the committing goroutine
 	// instead of in the background (deterministic tests, benchmarks of the
@@ -93,6 +93,11 @@ type Options struct {
 	FoldWALBytes int64
 }
 
+// DefaultMergeThreshold is the number of pending delta ops (inserts plus
+// deletes in the current snapshot's overlay) at which a commit schedules a
+// fold into a fresh base store.
+const DefaultMergeThreshold = 4096
+
 // DefaultFoldWALBytes bounds the write-ahead log between folds when the
 // manager is durable and no explicit budget is configured.
 const DefaultFoldWALBytes = 64 << 20
@@ -106,7 +111,7 @@ const (
 
 func (o Options) threshold() int {
 	if o.MergeThreshold <= 0 {
-		return index.DefaultMergeThreshold
+		return DefaultMergeThreshold
 	}
 	return o.MergeThreshold
 }
