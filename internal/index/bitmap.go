@@ -46,11 +46,10 @@ func BuildBitmapVP(p *Primary, name string, viewPred pred.Predicate, dirs []Dire
 	for _, dir := range dirs {
 		c := p.dirCSR(dir)
 		bits := make([]uint64, (c.Len()+63)/64)
-		resolved := viewPred.ResolveNbr(dir == FW)
+		cp := pred.Compile(viewPred.ResolveNbr(dir == FW), p.g)
 		eids := c.EIDs()
 		for pos := 0; pos < c.Len(); pos++ {
-			e := storage.EdgeID(eids[pos])
-			if resolved.IsTrue() || resolved.Eval(pred.EdgeCtx{G: p.g, Adj: e}) {
+			if cp.Eval(storage.EdgeID(eids[pos]), 0, false) {
 				bits[pos/64] |= 1 << (uint(pos) % 64)
 			}
 		}

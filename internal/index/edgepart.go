@@ -125,14 +125,17 @@ func (ep *EdgePartitioned) build() error {
 	ep.levels = levels
 
 	adjDir := ep.def.View.Dir.AdjDirection()
-	resolved := ep.def.View.Pred.ResolveNbr(adjDir == FW)
+	// Compiled once against g's columns; the workers share it read-only.
+	cp := pred.Compile(ep.def.View.Pred.ResolveNbr(adjDir == FW), g)
 	numEdges := g.NumEdges()
 	c := p.dirCSR(adjDir)
 	nbrs, eids := c.Nbrs(), c.EIDs()
 
+	// codes holds each entry's bucket codes back to back, len(levels) per
+	// entry, so accepting an entry allocates nothing of its own.
 	type shardResult struct {
 		entries []csr.OffsetEntry
-		codes   [][]uint16
+		codes   []uint16
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > numEdges {
@@ -161,7 +164,7 @@ func (ep *EdgePartitioned) build() error {
 				for pos := rlo; pos < rhi; pos++ {
 					eadj := storage.EdgeID(eids[pos])
 					nbr := storage.VertexID(nbrs[pos])
-					if !resolved.Eval(pred.EdgeCtx{G: g, Adj: eadj, Bound: eb, HasBound: true}) {
+					if !cp.Eval(eadj, eb, true) {
 						continue
 					}
 					codeBuf = codesFor(levels, eadj, nbr, codeBuf)
@@ -170,7 +173,7 @@ func (ep *EdgePartitioned) build() error {
 						Offset: pos - rlo,
 						Sort:   sortOrdinals(g, ep.def.Cfg.Sorts, eadj, nbr),
 					})
-					res.codes = append(res.codes, append([]uint16(nil), codeBuf...))
+					res.codes = append(res.codes, codeBuf...)
 				}
 			}
 			results[w] = res
@@ -179,9 +182,10 @@ func (ep *EdgePartitioned) build() error {
 	wg.Wait()
 
 	builder := csr.NewOffsetBuilder(numEdges, levelCards(levels))
+	stride := len(levels)
 	for _, res := range results {
 		for i, e := range res.entries {
-			builder.Add(e, res.codes[i])
+			builder.Add(e, res.codes[i*stride:(i+1)*stride])
 		}
 	}
 	ep.lists = builder.Build(func(owner uint32) uint32 {

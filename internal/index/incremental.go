@@ -231,7 +231,7 @@ func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, d
 			levels = fresh
 		}
 		c := np.dirCSR(dir)
-		resolved := v.def.View.Pred.ResolveNbr(dir == FW)
+		cp := pred.Compile(v.def.View.Pred.ResolveNbr(dir == FW), g)
 		pt := csr.NewOffsetPatcher(od.lists, g.NumVertices())
 		var cb [8]uint16
 		for _, owner := range dirty[dir] {
@@ -241,7 +241,7 @@ func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, d
 			for pos := lo; pos < hi; pos++ {
 				e := storage.EdgeID(eids[pos])
 				nbr := storage.VertexID(nbrs[pos])
-				if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{G: g, Adj: e}) {
+				if !cp.Eval(e, 0, false) {
 					continue
 				}
 				codes := codesFor(levels, e, nbr, cb[:0])
@@ -296,7 +296,7 @@ func incrementalEdgePartitioned(ep *EdgePartitioned, np *Primary, d *Delta, dirt
 	if ep.def.View.Dir.BoundIsDst() {
 		boundDir = BW
 	}
-	resolved := ep.def.View.Pred.ResolveNbr(adjDir == FW)
+	cp := pred.Compile(ep.def.View.Pred.ResolveNbr(adjDir == FW), g)
 	ownerVertex := func(eb storage.EdgeID) storage.VertexID {
 		if ep.def.View.Dir.BoundIsDst() {
 			return g.Dst(eb)
@@ -365,7 +365,7 @@ func incrementalEdgePartitioned(ep *EdgePartitioned, np *Primary, d *Delta, dirt
 		for pos := lo; pos < hi; pos++ {
 			eadj := storage.EdgeID(eids[pos])
 			nbr := storage.VertexID(nbrs[pos])
-			if !resolved.Eval(pred.EdgeCtx{G: g, Adj: eadj, Bound: eb, HasBound: true}) {
+			if !cp.Eval(eadj, eb, true) {
 				continue
 			}
 			codes := codesFor(levels, eadj, nbr, cb[:0])

@@ -2,7 +2,6 @@ package index
 
 import (
 	"github.com/aplusdb/aplus/internal/csr"
-	"github.com/aplusdb/aplus/internal/pred"
 	"github.com/aplusdb/aplus/internal/storage"
 )
 
@@ -159,10 +158,4 @@ func (p *Primary) SortKeys() []SortKey { return p.cfg.Sorts }
 // tiebreak appended, which is the complete ordering of the innermost lists.
 func (p *Primary) EffectiveSorts() []SortKey {
 	return append(append([]SortKey(nil), p.cfg.Sorts...), NbrIDSort)
-}
-
-// ResolvePredicate rewrites vnbr references for a direction so the result
-// can be evaluated with pred.EdgeCtx.
-func ResolvePredicate(q pred.Predicate, dir Direction) pred.Predicate {
-	return q.ResolveNbr(dir == FW)
 }

@@ -88,7 +88,7 @@ func (v *VertexPartitioned) buildDir(dir Direction) (*vpDir, error) {
 		builder = csr.NewOffsetBuilder(g.NumVertices(), levelCards(levels))
 	}
 
-	resolved := v.def.View.Pred.ResolveNbr(dir == FW)
+	cp := pred.Compile(v.def.View.Pred.ResolveNbr(dir == FW), g)
 	c := p.dirCSR(dir)
 	nbrs, eids := c.Nbrs(), c.EIDs()
 	var codeBuf []uint16
@@ -97,7 +97,7 @@ func (v *VertexPartitioned) buildDir(dir Direction) (*vpDir, error) {
 		for pos := lo; pos < hi; pos++ {
 			e := storage.EdgeID(eids[pos])
 			nbr := storage.VertexID(nbrs[pos])
-			if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{G: g, Adj: e}) {
+			if !cp.Eval(e, 0, false) {
 				continue
 			}
 			codeBuf = codesFor(levels, e, nbr, codeBuf)

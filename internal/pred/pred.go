@@ -1,9 +1,12 @@
 // Package pred implements the predicate language of A+ index views and
 // queries: conjunctions of comparisons over properties of the adjacent edge,
-// its endpoint vertices, and (for 2-hop views) the bound edge. It also
-// implements the two predicate-subsumption checks the paper's optimizer uses
-// to decide whether an index can answer a query extension (Section IV-A):
-// conjunctive subsumption and range subsumption.
+// its endpoint vertices, and (for 2-hop views) the bound edge. A predicate
+// is evaluated by compiling it against one graph's property columns
+// (Compile), which binds every operand once so per-entry evaluation does no
+// name lookup. The package also implements the two predicate-subsumption
+// checks the paper's optimizer uses to decide whether an index can answer a
+// query extension (Section IV-A): conjunctive subsumption and range
+// subsumption.
 package pred
 
 import (
@@ -202,84 +205,6 @@ func (p Predicate) String() string {
 		parts[i] = t.String()
 	}
 	return strings.Join(parts, " AND ")
-}
-
-// EdgeCtx supplies the entity bindings needed to evaluate a predicate
-// against one adjacency entry.
-type EdgeCtx struct {
-	G   *storage.Graph
-	Adj storage.EdgeID
-	// Bound is the bound edge for 2-hop views; HasBound gates it.
-	Bound    storage.EdgeID
-	HasBound bool
-}
-
-// value resolves a variable reference.
-func (c EdgeCtx) value(r Ref) storage.Value {
-	switch r.Var {
-	case VarAdj:
-		return edgeValue(c.G, c.Adj, r.Prop)
-	case VarBound:
-		if !c.HasBound {
-			return storage.NullValue
-		}
-		return edgeValue(c.G, c.Bound, r.Prop)
-	case VarSrc:
-		return vertexValue(c.G, c.G.Src(c.Adj), r.Prop)
-	case VarDst:
-		return vertexValue(c.G, c.G.Dst(c.Adj), r.Prop)
-	case VarNbr:
-		// The neighbour of an adjacency entry depends on direction; the
-		// index layer resolves VarNbr to VarSrc or VarDst before
-		// evaluation. Seeing it here is a bug.
-		panic("pred: unresolved vnbr reference; resolve direction first")
-	}
-	return storage.NullValue
-}
-
-func edgeValue(g *storage.Graph, e storage.EdgeID, prop string) storage.Value {
-	switch prop {
-	case PropLabel:
-		return storage.Str(g.Catalog().EdgeLabelName(g.EdgeLabel(e)))
-	case PropID:
-		return storage.Int(int64(e))
-	default:
-		return g.EdgeProp(e, prop)
-	}
-}
-
-func vertexValue(g *storage.Graph, v storage.VertexID, prop string) storage.Value {
-	switch prop {
-	case PropLabel:
-		return storage.Str(g.Catalog().VertexLabelName(g.VertexLabel(v)))
-	case PropID:
-		return storage.Int(int64(v))
-	default:
-		return g.VertexProp(v, prop)
-	}
-}
-
-// Eval evaluates the predicate under ctx. NULL operands fail every
-// comparison except NE-against-non-null semantics are deliberately strict:
-// any NULL operand makes the term false.
-func (p Predicate) Eval(ctx EdgeCtx) bool {
-	for _, t := range p.Terms {
-		if !evalTerm(t, ctx) {
-			return false
-		}
-	}
-	return true
-}
-
-func evalTerm(t Term, ctx EdgeCtx) bool {
-	l := ctx.value(t.Left)
-	var r storage.Value
-	if t.IsConst() {
-		r = t.Const
-	} else {
-		r = ApplyShift(ctx.value(t.Right), t.Shift)
-	}
-	return Compare(l, t.Op, r)
 }
 
 // ApplyShift adds a constant to a numeric value (NULL and non-numeric
