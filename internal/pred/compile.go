@@ -4,8 +4,8 @@ import "github.com/aplusdb/aplus/internal/storage"
 
 // Compiled is a predicate bound to one graph. Compile resolves every operand
 // once — to a property column, the ID or label pseudo-property, or a
-// constant — so evaluating an adjacency entry does no name or map lookup and
-// boxes no value on the numeric path.
+// constant — so evaluating an adjacency entry does no name or map lookup, and
+// int-against-int terms read their operands unboxed.
 //
 // A Compiled reads the columns the graph held when it was compiled. Columns
 // are copied on write per snapshot, so compile once per build or fold,
@@ -33,10 +33,9 @@ const (
 	srcConst
 	srcID
 	srcLabel
-	// srcInt and srcFloat are columns read unboxed on the numeric path.
+	// srcInt is an int column, read unboxed by int-against-int terms.
 	srcInt
-	srcFloat
-	// srcColumn is any other column (string, bool), read as a Value.
+	// srcColumn is any other column (float, string, bool), read as a Value.
 	srcColumn
 	// srcNbr is an unresolved vnbr reference; reading it panics.
 	srcNbr
@@ -47,11 +46,6 @@ type operand struct {
 	src source
 	col *storage.Column
 	c   storage.Value
-}
-
-// numeric reports whether the operand always reads as a number or NULL.
-func (o operand) numeric() bool {
-	return o.integer() || o.src == srcFloat || (o.src == srcConst && o.c.Kind == storage.KindFloat)
 }
 
 // integer reports whether the operand always reads as an int64 or NULL.
@@ -74,8 +68,6 @@ const (
 	// kindInt reads both operands as unboxed int64s, the typical view
 	// predicate over date or amount columns.
 	kindInt
-	// kindNumeric reads both operands unboxed as float64s.
-	kindNumeric
 	// kindFalse has a statically NULL operand.
 	kindFalse
 	// kindPanic references an unresolved vnbr.
@@ -86,7 +78,7 @@ type compiledTerm struct {
 	kind termKind
 	op   Op
 	// accept[c+1] says whether the three-way comparison result c
-	// satisfies op, for the unboxed paths.
+	// satisfies op, for kindInt.
 	accept      [3]bool
 	shift       int64
 	left, right operand
@@ -102,8 +94,8 @@ func Compile(p Predicate, g *storage.Graph) *Compiled {
 	}
 	for i, t := range p.Terms {
 		ct := compiledTerm{op: t.Op, left: bind(g, t.Left)}
-		for c := -1; c <= 1; c++ {
-			ct.accept[c+1] = Compare(storage.Int(int64(c)), t.Op, storage.Int(0))
+		for r := -1; r <= 1; r++ {
+			ct.accept[r+1] = Compare(storage.Int(int64(r)), t.Op, storage.Int(0))
 		}
 		if t.IsConst() {
 			ct.right = operand{src: srcConst, c: t.Const}
@@ -121,8 +113,6 @@ func Compile(p Predicate, g *storage.Graph) *Compiled {
 			ct.kind = kindFalse
 		case ct.left.integer() && ct.right.integer():
 			ct.kind = kindInt
-		case ct.left.numeric() && ct.right.numeric():
-			ct.kind = kindNumeric
 		default:
 			ct.kind = kindValue
 		}
@@ -164,8 +154,6 @@ func bind(g *storage.Graph, r Ref) operand {
 		o.src = srcNull
 	case o.col.Kind == storage.KindInt:
 		o.src = srcInt
-	case o.col.Kind == storage.KindFloat:
-		o.src = srcFloat
 	default:
 		o.src = srcColumn
 	}
@@ -188,15 +176,6 @@ func (c *Compiled) Eval(adj, bound storage.EdgeID, hasBound bool) bool {
 			// Value.Compare compares ints through float64, so ints beyond
 			// 2^53 that share a float64 compare equal here too.
 			if !ok || !t.accept[compareFloat(float64(l), float64(r+t.shift))+1] {
-				return false
-			}
-		case kindNumeric:
-			l, ok := t.left.num(c.g, adj, bound, hasBound, 0)
-			if !ok {
-				return false
-			}
-			r, ok := t.right.num(c.g, adj, bound, hasBound, t.shift)
-			if !ok || !t.accept[compareFloat(l, r)+1] {
 				return false
 			}
 		case kindValue:
@@ -244,32 +223,6 @@ func (o *operand) int(g *storage.Graph, adj, bound storage.EdgeID, hasBound bool
 	return o.col.IntAt(int(id))
 }
 
-// num reads a numeric operand as float64 with shift applied in its own
-// type first (int64 for ints and IDs), exactly as ApplyShift then
-// storage.Value.Compare would. ok is false for NULL.
-func (o *operand) num(g *storage.Graph, adj, bound storage.EdgeID, hasBound bool, shift int64) (float64, bool) {
-	if o.src == srcConst {
-		if o.c.Kind == storage.KindInt {
-			return float64(o.c.I), true
-		}
-		return o.c.F, true
-	}
-	id, ok := o.entity(g, adj, bound, hasBound)
-	if !ok {
-		return 0, false
-	}
-	switch o.src {
-	case srcInt:
-		v, ok := o.col.IntAt(int(id))
-		return float64(v + shift), ok
-	case srcFloat:
-		v, ok := o.col.FloatAt(int(id))
-		return v + float64(shift), ok
-	default: // srcID
-		return float64(int64(id) + shift), true
-	}
-}
-
 // value reads an operand as a Value (NULL when absent).
 func (o *operand) value(g *storage.Graph, adj, bound storage.EdgeID, hasBound bool) storage.Value {
 	if o.src == srcConst {
@@ -287,13 +240,13 @@ func (o *operand) value(g *storage.Graph, adj, bound storage.EdgeID, hasBound bo
 			return storage.Str(g.Catalog().EdgeLabelName(g.EdgeLabel(storage.EdgeID(id))))
 		}
 		return storage.Str(g.Catalog().VertexLabelName(g.VertexLabel(storage.VertexID(id))))
-	default: // srcInt, srcFloat, srcColumn
+	default: // srcInt, srcColumn
 		return o.col.Get(int(id))
 	}
 }
 
-// compareFloat orders two numbers as storage.Value.Compare does: NaN
-// compares equal to everything.
+// compareFloat orders two numbers as storage.Value.Compare orders numeric
+// values.
 func compareFloat(a, b float64) int {
 	switch {
 	case a < b:

@@ -181,15 +181,6 @@ func (c *Column) IntAt(i int) (int64, bool) {
 	return c.ints[i], true
 }
 
-// FloatAt returns the raw float payload at i; ok is false for NULLs or
-// non-float columns.
-func (c *Column) FloatAt(i int) (float64, bool) {
-	if c.Kind != KindFloat || c.IsNull(i) {
-		return 0, false
-	}
-	return c.floats[i], true
-}
-
 // MemoryBytes estimates the heap footprint of the column payload.
 func (c *Column) MemoryBytes() int64 {
 	var b int64
