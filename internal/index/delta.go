@@ -1,6 +1,8 @@
 package index
 
 import (
+	"math/bits"
+
 	"github.com/aplusdb/aplus/internal/pred"
 	"github.com/aplusdb/aplus/internal/storage"
 )
@@ -13,14 +15,19 @@ import (
 // fetches (Splice) without any locking, and a background merger eventually
 // folds the overlay back into block-packed CSR form.
 //
-// A published Delta is never mutated. Commits derive a successor with
-// DeltaBuilder, which copies every map and every owner slice it touches;
-// the append-only op log shares backing with the parent (a serialized
-// writer only appends past the parent's LogLen).
+// Runs and delete records live in ownerTables and the pending-delete set in
+// an edgeSet: persistent arrays of fixed-size chunks indexed by owner or
+// edge ID. A published Delta is never mutated. Commits derive a successor
+// with DeltaBuilder, which copies each table's top-level chunk slice once,
+// each chunk the first time it writes into it, and each owner slice the
+// first time it writes to that owner, so a commit costs O(V/64 + chunks
+// touched) however many ops are pending; the append-only op log shares
+// backing with the parent (a serialized writer only appends past the
+// parent's LogLen).
 type Delta struct {
-	runs    [2]map[uint32][]bufEntry
-	dels    [2]map[uint32][]delRec
-	deleted map[storage.EdgeID]struct{}
+	runs    [2]ownerTable[bufEntry]
+	dels    [2]ownerTable[delRec]
+	deleted edgeSet
 
 	// log records every op since the last merge, in commit order, so a
 	// merger that folded an older snapshot can rebase the suffix committed
@@ -29,6 +36,107 @@ type Delta struct {
 	logLen int
 
 	inserts, deletes int
+}
+
+const (
+	ownerChunkShift = 6
+	ownerChunkSize  = 1 << ownerChunkShift // owners per ownerTable chunk
+	edgeChunkShift  = 12
+	edgeChunkWords  = 1 << edgeChunkShift / 64 // words per edgeSet chunk (4,096 edges)
+)
+
+// ownerTable maps a dense owner vertex ID to that owner's pending slice,
+// ownerChunkSize owners per chunk; a nil chunk holds only empty slices.
+type ownerTable[T any] []*[ownerChunkSize][]T
+
+func (t ownerTable[T]) get(owner uint32) []T {
+	if c := int(owner >> ownerChunkShift); c < len(t) && t[c] != nil {
+		return t[c][owner%ownerChunkSize]
+	}
+	return nil
+}
+
+// each calls fn for every owner with a non-empty slice, ascending.
+func (t ownerTable[T]) each(fn func(owner uint32, s []T)) {
+	for c, ch := range t {
+		if ch == nil {
+			continue
+		}
+		for i, s := range ch {
+			if len(s) > 0 {
+				fn(uint32(c<<ownerChunkShift+i), s)
+			}
+		}
+	}
+}
+
+// edgeSet is a bitset over edge IDs in chunks of 64 words; a nil chunk
+// holds no edge.
+type edgeSet []*[edgeChunkWords]uint64
+
+func (s edgeSet) has(e storage.EdgeID) bool {
+	if c := int(e >> edgeChunkShift); c < len(s) && s[c] != nil {
+		return s[c][e%(1<<edgeChunkShift)/64]&(1<<(e%64)) != 0
+	}
+	return false
+}
+
+// each calls fn for every edge in the set, ascending.
+func (s edgeSet) each(fn func(e storage.EdgeID)) {
+	for c, ch := range s {
+		if ch == nil {
+			continue
+		}
+		for w, word := range ch {
+			for ; word != 0; word &= word - 1 {
+				fn(storage.EdgeID(c<<edgeChunkShift + w*64 + bits.TrailingZeros64(word)))
+			}
+		}
+	}
+}
+
+// cow records what one builder has copied out of one chunked array: the
+// top-level slice, and per copied chunk a mask of the owner slots whose
+// slices it copied (unused for edgeSet chunks).
+type cow struct {
+	top    bool
+	chunks map[int]uint64
+}
+
+// writableChunk returns chunk c of *top for writing, copying the top-level
+// slice (grown to cover c) on the builder's first write and the chunk on
+// its first write into it, so no chunk or slice a published Delta can
+// reach is ever written.
+func writableChunk[C any](top *[]*C, c int, w *cow) *C {
+	if !w.top {
+		*top = append(make([]*C, 0, max(len(*top), c+1)), *top...)
+		w.top = true
+		w.chunks = map[int]uint64{}
+	}
+	for len(*top) <= c {
+		*top = append(*top, nil)
+	}
+	if _, ok := w.chunks[c]; !ok {
+		nc := new(C)
+		if old := (*top)[c]; old != nil {
+			*nc = *old
+		}
+		(*top)[c] = nc
+		w.chunks[c] = 0
+	}
+	return (*top)[c]
+}
+
+// writableSlot returns owner's slice in t for writing, copied on the
+// builder's first write to that owner.
+func writableSlot[T any](t *ownerTable[T], owner uint32, w *cow) *[]T {
+	c := int(owner >> ownerChunkShift)
+	s := &writableChunk((*[]*[ownerChunkSize][]T)(t), c, w)[owner%ownerChunkSize]
+	if bit := uint64(1) << (owner % ownerChunkSize); w.chunks[c]&bit == 0 {
+		*s = append(make([]T, 0, len(*s)+4), *s...)
+		w.chunks[c] |= bit
+	}
+	return s
 }
 
 // deltaOp is one logged write (endpoints and values are read back from the
@@ -91,20 +199,17 @@ func (d *Delta) EdgeDeleted(e storage.EdgeID) bool {
 	if d == nil {
 		return false
 	}
-	_, ok := d.deleted[e]
-	return ok
+	return d.deleted.has(e)
 }
 
-// DeletedEdges returns the pending delete set (for mergers folding it into
-// a fresh base's tombstones).
+// DeletedEdges returns the pending delete set in ascending ID order (for
+// mergers folding it into a fresh base's tombstones).
 func (d *Delta) DeletedEdges() []storage.EdgeID {
-	if d == nil || len(d.deleted) == 0 {
+	if d == nil || d.deletes == 0 {
 		return nil
 	}
-	out := make([]storage.EdgeID, 0, len(d.deleted))
-	for e := range d.deleted {
-		out = append(out, e)
-	}
+	out := make([]storage.EdgeID, 0, d.deletes)
+	d.deleted.each(func(e storage.EdgeID) { out = append(out, e) })
 	return out
 }
 
@@ -114,7 +219,7 @@ func (d *Delta) Touches(dir Direction, owner uint32) bool {
 	if d == nil {
 		return false
 	}
-	return len(d.runs[dir][owner]) > 0 || len(d.dels[dir][owner]) > 0
+	return len(d.runs[dir].get(owner)) > 0 || len(d.dels[dir].get(owner)) > 0
 }
 
 // SpliceLen returns the length Splice would produce for (dir, owner)
@@ -122,13 +227,14 @@ func (d *Delta) Touches(dir Direction, owner uint32) bool {
 // count-pushdown fold path needs lengths without materializing entries.
 func (d *Delta) SpliceLen(dir Direction, owner uint32, codes []uint16, baseLen int) int {
 	n := baseLen
-	for _, dr := range d.dels[dir][owner] {
+	for _, dr := range d.dels[dir].get(owner) {
 		if prefixMatches(dr.codes, codes) {
 			n--
 		}
 	}
-	for i := range d.runs[dir][owner] {
-		if prefixMatches(d.runs[dir][owner][i].codes, codes) {
+	run := d.runs[dir].get(owner)
+	for i := range run {
+		if prefixMatches(run[i].codes, codes) {
 			n++
 		}
 	}
@@ -167,8 +273,8 @@ func delContains(dels []delRec, eid uint64) bool {
 // capacity is insufficient, so a warm caller splices with zero heap
 // allocations.
 func (d *Delta) Splice(p *Primary, dir Direction, owner uint32, codes []uint16, base AdjList, nbrs []uint32, eids []uint64) ([]uint32, []uint64) {
-	run := d.runs[dir][owner]
-	dels := d.dels[dir][owner]
+	run := d.runs[dir].get(owner)
+	dels := d.dels[dir].get(owner)
 	n := base.Len()
 	if cap(nbrs) < n+len(run) {
 		nbrs = make([]uint32, 0, n+len(run))
@@ -209,25 +315,21 @@ func (d *Delta) Splice(p *Primary, dir Direction, owner uint32, codes []uint16, 
 }
 
 // DeltaBuilder derives a successor Delta from a published parent during one
-// commit. Maps are cloned lazily on first mutation and each owner slice is
-// copied before its first mutation, so the parent stays immutable and the
-// common insert-only commit never touches the delete structures; the op log
-// shares backing with the parent under the single-serialized-writer
-// discipline. Builders are not safe for concurrent use.
+// commit. It starts from the parent's chunk slices and copies on first
+// write (see Delta), so repeated writes to one owner mutate the builder's
+// own copy in place and the common insert-only commit never touches the
+// delete structures; the op log shares backing with the parent under the
+// single-serialized-writer discipline. Builders are not safe for
+// concurrent use.
 type DeltaBuilder struct {
 	p *Primary       // frozen base (partition levels, sort keys, edge bound)
 	g *storage.Graph // the batch's graph clone (values of fresh entities)
 	d *Delta
 
-	// ownedRunMaps/ownedDelMaps/ownedDeleted track which maps this builder
-	// has already detached from the parent; ownedRuns/ownedDels track
-	// (dir, owner) slices already copied, so repeated writes to one owner
-	// mutate in place.
-	ownedRunMaps [2]bool
-	ownedDelMaps [2]bool
-	ownedDeleted bool
-	ownedRuns    [2]map[uint32]bool
-	ownedDels    [2]map[uint32]bool
+	// What this builder has copied out of the parent's runs, dels and
+	// deleted arrays.
+	runsCow, delsCow [2]cow
+	deletedCow       cow
 
 	impossible bool
 }
@@ -238,61 +340,9 @@ func NewDeltaBuilder(parent *Delta, p *Primary, g *storage.Graph) *DeltaBuilder 
 	if parent == nil {
 		parent = NewDelta()
 	}
-	nd := &Delta{
-		runs:    parent.runs,
-		dels:    parent.dels,
-		deleted: parent.deleted,
-		log:     parent.log[:parent.logLen],
-		logLen:  parent.logLen,
-		inserts: parent.inserts,
-		deletes: parent.deletes,
-	}
-	return &DeltaBuilder{
-		p: p, g: g, d: nd,
-		ownedRuns: [2]map[uint32]bool{{}, {}},
-		ownedDels: [2]map[uint32]bool{{}, {}},
-	}
-}
-
-// runMap returns the builder's private run map for dir, detaching it from
-// the parent on first use.
-func (b *DeltaBuilder) runMap(dir Direction) map[uint32][]bufEntry {
-	if !b.ownedRunMaps[dir] {
-		m := make(map[uint32][]bufEntry, len(b.d.runs[dir])+1)
-		for o, r := range b.d.runs[dir] {
-			m[o] = r
-		}
-		b.d.runs[dir] = m
-		b.ownedRunMaps[dir] = true
-	}
-	return b.d.runs[dir]
-}
-
-// delMap is runMap for the delete-record maps.
-func (b *DeltaBuilder) delMap(dir Direction) map[uint32][]delRec {
-	if !b.ownedDelMaps[dir] {
-		m := make(map[uint32][]delRec, len(b.d.dels[dir])+1)
-		for o, r := range b.d.dels[dir] {
-			m[o] = r
-		}
-		b.d.dels[dir] = m
-		b.ownedDelMaps[dir] = true
-	}
-	return b.d.dels[dir]
-}
-
-// deletedSet returns the builder's private pending-delete set, detaching it
-// from the parent on first use.
-func (b *DeltaBuilder) deletedSet() map[storage.EdgeID]struct{} {
-	if !b.ownedDeleted {
-		m := make(map[storage.EdgeID]struct{}, len(b.d.deleted)+1)
-		for e := range b.d.deleted {
-			m[e] = struct{}{}
-		}
-		b.d.deleted = m
-		b.ownedDeleted = true
-	}
-	return b.d.deleted
+	nd := *parent
+	nd.log = parent.log[:parent.logLen]
+	return &DeltaBuilder{p: p, g: g, d: &nd}
 }
 
 // Impossible reports whether some op could not be expressed as an overlay
@@ -372,12 +422,8 @@ func (b *DeltaBuilder) baseSortOrdinal(k SortKey, e storage.EdgeID, nbr storage.
 }
 
 func (b *DeltaBuilder) insertRun(dir Direction, owner uint32, be bufEntry) {
-	m := b.runMap(dir)
-	run := m[owner]
-	if !b.ownedRuns[dir][owner] {
-		run = append(make([]bufEntry, 0, len(run)+4), run...)
-		b.ownedRuns[dir][owner] = true
-	}
+	s := writableSlot(&b.d.runs[dir], owner, &b.runsCow[dir])
+	run := *s
 	lo, hi := 0, len(run)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -390,7 +436,7 @@ func (b *DeltaBuilder) insertRun(dir Direction, owner uint32, be bufEntry) {
 	run = append(run, bufEntry{})
 	copy(run[lo+1:], run[lo:])
 	run[lo] = be
-	m[owner] = run
+	*s = run
 }
 
 // Delete buffers an edge deletion. Deleting an edge that itself postdates
@@ -401,7 +447,7 @@ func (b *DeltaBuilder) Delete(e storage.EdgeID) {
 	if b.g.EdgeDeleted(e) {
 		return
 	}
-	if _, dup := b.d.deleted[e]; dup {
+	if b.d.deleted.has(e) {
 		return
 	}
 	src, dst := b.g.Src(e), b.g.Dst(e)
@@ -415,16 +461,16 @@ func (b *DeltaBuilder) Delete(e storage.EdgeID) {
 		b.insertDel(FW, uint32(src), delRec{eid: uint64(e), codes: fwCodes})
 		b.insertDel(BW, uint32(dst), delRec{eid: uint64(e), codes: bwCodes})
 	}
-	b.deletedSet()[e] = struct{}{}
+	ch := writableChunk((*[]*[edgeChunkWords]uint64)(&b.d.deleted), int(e>>edgeChunkShift), &b.deletedCow)
+	ch[e%(1<<edgeChunkShift)/64] |= 1 << (e % 64)
 	b.d.deletes++
 	b.d.log = append(b.d.log, deltaOp{del: true, e: e})
 }
 
 func (b *DeltaBuilder) removeRun(dir Direction, owner uint32, eid uint64) {
-	run := b.d.runs[dir][owner]
 	idx := -1
-	for i := range run {
-		if run[i].eid == eid {
+	for i, be := range b.d.runs[dir].get(owner) {
+		if be.eid == eid {
 			idx = i
 			break
 		}
@@ -432,27 +478,13 @@ func (b *DeltaBuilder) removeRun(dir Direction, owner uint32, eid uint64) {
 	if idx < 0 {
 		return
 	}
-	m := b.runMap(dir)
-	if !b.ownedRuns[dir][owner] {
-		run = append(make([]bufEntry, 0, len(run)), run...)
-		b.ownedRuns[dir][owner] = true
-	}
-	run = append(run[:idx], run[idx+1:]...)
-	if len(run) == 0 {
-		delete(m, owner)
-		delete(b.ownedRuns[dir], owner)
-		return
-	}
-	m[owner] = run
+	s := writableSlot(&b.d.runs[dir], owner, &b.runsCow[dir])
+	*s = append((*s)[:idx], (*s)[idx+1:]...)
 }
 
 func (b *DeltaBuilder) insertDel(dir Direction, owner uint32, dr delRec) {
-	m := b.delMap(dir)
-	dels := m[owner]
-	if !b.ownedDels[dir][owner] {
-		dels = append(make([]delRec, 0, len(dels)+4), dels...)
-		b.ownedDels[dir][owner] = true
-	}
+	s := writableSlot(&b.d.dels[dir], owner, &b.delsCow[dir])
+	dels := *s
 	lo, hi := 0, len(dels)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -465,7 +497,7 @@ func (b *DeltaBuilder) insertDel(dir Direction, owner uint32, dr delRec) {
 	dels = append(dels, delRec{})
 	copy(dels[lo+1:], dels[lo:])
 	dels[lo] = dr
-	m[owner] = dels
+	*s = dels
 }
 
 // Freeze seals and returns the built Delta. The builder must not be used

@@ -3,6 +3,8 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/aplusdb/aplus/internal/pred"
@@ -219,5 +221,135 @@ func TestDeltaBuilderPreservesParent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// deltaView is everything a published Delta answers, recorded so a later
+// check can prove the Delta was not disturbed.
+type deltaView struct {
+	touches   []bool
+	spliceLen []int
+	splices   [][]uint64 // nbr<<32 | eid per entry, touched lists only
+	deleted   []bool
+	delList   []storage.EdgeID
+	pending   int
+	dirty     int
+}
+
+func observeDelta(p *Primary, d *Delta, nv, ne int, prefixes [][]uint16) deltaView {
+	var o deltaView
+	for _, dir := range []Direction{FW, BW} {
+		for v := 0; v < nv; v++ {
+			o.touches = append(o.touches, d.Touches(dir, uint32(v)))
+			for _, codes := range prefixes {
+				base := p.List(dir, storage.VertexID(v), codes)
+				o.spliceLen = append(o.spliceLen, d.SpliceLen(dir, uint32(v), codes, base.Len()))
+				if !d.Touches(dir, uint32(v)) {
+					continue
+				}
+				nbrs, eids := d.Splice(p, dir, uint32(v), codes, base, nil, nil)
+				l := make([]uint64, len(nbrs))
+				for i := range nbrs {
+					l[i] = uint64(nbrs[i])<<32 | eids[i]
+				}
+				o.splices = append(o.splices, l)
+			}
+		}
+	}
+	for e := 0; e < ne; e++ {
+		o.deleted = append(o.deleted, d.EdgeDeleted(storage.EdgeID(e)))
+	}
+	o.delList = d.DeletedEdges()
+	o.pending, o.dirty = d.Pending(), d.DirtyOwners()
+	return o
+}
+
+// TestDeltaBuilderLeavesParentIntact drives a chain of commits, each a
+// random mix of inserts, deletes of base and delta edges, and deletes that
+// empty a whole run, and checks after every Freeze that each earlier Delta
+// still answers exactly what it answered when it was published. The base
+// has 128 vertices (two full owner chunks) and ~4K edges (just under one
+// delete-set chunk), so the chain writes inside one chunk, across chunk
+// boundaries, to owners past the parent's last chunk (vertices the same
+// batch adds) and to edge IDs past the delete set's last chunk.
+func TestDeltaBuilderLeavesParentIntact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := deltaTestGraph(2*ownerChunkSize, 1<<edgeChunkShift-40, rng)
+	cfg := Config{Partitions: []PartitionKey{
+		{Var: pred.VarAdj, Prop: pred.PropLabel},
+		{Var: pred.VarNbr, Prop: pred.PropLabel},
+	}}
+	s, err := NewStore(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Primary()
+	prefixes := [][]uint16{nil, {0}, {1}}
+	labels := []string{"X", "Y"}
+
+	type published struct {
+		d      *Delta
+		nv, ne int
+		view   deltaView
+	}
+	var chain []published
+	var d *Delta
+	var deltaEdges []storage.EdgeID // live edges inserted by the chain
+	for step := 0; step < 24; step++ {
+		g = g.Clone()
+		b := NewDeltaBuilder(d, p, g)
+		insert := func(src, dst storage.VertexID) storage.EdgeID {
+			e, err := g.AddEdge(src, dst, labels[rng.Intn(len(labels))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Insert(e)
+			deltaEdges = append(deltaEdges, e)
+			return e
+		}
+		deleteDelta := func(i int) {
+			b.Delete(deltaEdges[i])
+			deltaEdges = append(deltaEdges[:i], deltaEdges[i+1:]...)
+		}
+		for op := 0; op < 10+rng.Intn(40); op++ {
+			nv := g.NumVertices()
+			switch k := rng.Intn(10); {
+			case k < 3: // both endpoints inside owner chunk 0
+				insert(storage.VertexID(rng.Intn(ownerChunkSize)), storage.VertexID(rng.Intn(ownerChunkSize)))
+			case k < 5: // anywhere, across chunk boundaries
+				insert(storage.VertexID(rng.Intn(nv)), storage.VertexID(rng.Intn(nv)))
+			case k == 5: // a vertex past the parent's last chunk, its run
+				// emptied again in the same batch half the time
+				v := g.AddVertex("A")
+				insert(v, storage.VertexID(rng.Intn(nv)))
+				if rng.Intn(2) == 0 {
+					deleteDelta(len(deltaEdges) - 1)
+				}
+			case k < 8: // a base edge
+				b.Delete(storage.EdgeID(rng.Intn(int(p.EdgeBound()))))
+			default: // a delta edge from this or an earlier batch
+				if len(deltaEdges) > 0 {
+					deleteDelta(rng.Intn(len(deltaEdges)))
+				}
+			}
+		}
+		if b.Impossible() {
+			t.Fatal("ops unexpectedly unbufferable")
+		}
+		d = b.Freeze()
+		for i, pub := range chain {
+			if got := observeDelta(p, pub.d, pub.nv, pub.ne, prefixes); !reflect.DeepEqual(got, pub.view) {
+				t.Fatalf("step %d: delta published at step %d changed", step, i)
+			}
+		}
+		nv, ne := g.NumVertices()+ownerChunkSize, g.NumEdges()+1<<edgeChunkShift
+		chain = append(chain, published{d, nv, ne, observeDelta(p, d, nv, ne, prefixes)})
+	}
+	dl := chain[len(chain)-1].view.delList
+	if len(dl) == 0 || dl[len(dl)-1] < 1<<edgeChunkShift {
+		t.Fatal("chain never deleted an edge past the first delete-set chunk")
+	}
+	if !sort.SliceIsSorted(dl, func(i, j int) bool { return dl[i] < dl[j] }) {
+		t.Fatal("DeletedEdges is not ascending")
 	}
 }

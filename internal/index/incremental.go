@@ -37,33 +37,35 @@ func (d *Delta) DirtyOwners() int {
 		return 0
 	}
 	n := 0
-	for dir := 0; dir < 2; dir++ {
-		n += len(d.runs[dir])
-		for o := range d.dels[dir] {
-			if _, ok := d.runs[dir][o]; !ok {
-				n++
+	for dir := FW; dir <= BW; dir++ {
+		d.eachDirtyOwner(dir, func(uint32) { n++ })
+	}
+	return n
+}
+
+// eachDirtyOwner calls fn for every owner with pending inserts or deletes
+// in one direction, ascending: a lockstep walk of the run and delete-record
+// tables.
+func (d *Delta) eachDirtyOwner(dir Direction, fn func(owner uint32)) {
+	runs, dels := d.runs[dir], d.dels[dir]
+	for c := 0; c < max(len(runs), len(dels)); c++ {
+		if (c >= len(runs) || runs[c] == nil) && (c >= len(dels) || dels[c] == nil) {
+			continue
+		}
+		for o := uint32(c << ownerChunkShift); o < uint32(c+1)<<ownerChunkShift; o++ {
+			if len(runs.get(o)) > 0 || len(dels.get(o)) > 0 {
+				fn(o)
 			}
 		}
 	}
-	return n
 }
 
 // dirtyOwnersSorted returns the owners with pending inserts or deletes in
 // one direction, ascending. CloneIncremental computes both directions once
 // and threads them through the primary and every secondary patch.
 func (d *Delta) dirtyOwnersSorted(dir Direction) []uint32 {
-	m := make(map[uint32]struct{}, len(d.runs[dir])+len(d.dels[dir]))
-	for o := range d.runs[dir] {
-		m[o] = struct{}{}
-	}
-	for o := range d.dels[dir] {
-		m[o] = struct{}{}
-	}
-	out := make([]uint32, 0, len(m))
-	for o := range m {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []uint32
+	d.eachDirtyOwner(dir, func(o uint32) { out = append(out, o) })
 	return out
 }
 
@@ -115,12 +117,8 @@ func patchPrimaryCSR(base *Primary, dir Direction, g2 *storage.Graph, d *Delta, 
 	old := base.dirCSR(dir)
 	numOwners := g2.NumVertices()
 	ins, del := 0, 0
-	for _, r := range d.runs[dir] {
-		ins += len(r)
-	}
-	for _, r := range d.dels[dir] {
-		del += len(r)
-	}
+	d.runs[dir].each(func(_ uint32, r []bufEntry) { ins += len(r) })
+	d.dels[dir].each(func(_ uint32, r []delRec) { del += len(r) })
 	pt := csr.NewPatcher(old, numOwners, old.Len()+ins-del)
 	prev := uint32(0)
 	for _, owner := range dirty {
@@ -138,8 +136,8 @@ func patchPrimaryCSR(base *Primary, dir Direction, g2 *storage.Graph, d *Delta, 
 // emitting bucket codes for the patcher.
 func rebuildPrimaryOwner(pt *csr.Patcher, base *Primary, dir Direction, owner uint32, d *Delta) {
 	old := base.dirCSR(dir)
-	run := d.runs[dir][owner]
-	dels := d.dels[dir][owner]
+	run := d.runs[dir].get(owner)
+	dels := d.dels[dir].get(owner)
 	pt.BeginOwner(owner)
 	var lo, hi uint32
 	if int(owner) < old.NumOwners() {
@@ -308,14 +306,12 @@ func incrementalEdgePartitioned(ep *EdgePartitioned, np *Primary, d *Delta, dirt
 	// deleted edges (their lists vanish), and every live bound edge whose
 	// owner vertex's adjacent-direction primary list changed.
 	dirty := make(map[uint32]struct{})
-	for _, run := range d.runs[FW] {
+	d.runs[FW].each(func(_ uint32, run []bufEntry) {
 		for i := range run {
 			dirty[uint32(run[i].eid)] = struct{}{}
 		}
-	}
-	for e := range d.deleted {
-		dirty[uint32(e)] = struct{}{}
-	}
+	})
+	d.deleted.each(func(e storage.EdgeID) { dirty[uint32(e)] = struct{}{} })
 	bc := np.dirCSR(boundDir)
 	for _, v := range dirtyPrimary[adjDir] {
 		lo, hi := bc.OwnerRange(v)
