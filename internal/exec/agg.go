@@ -144,7 +144,7 @@ func (pl *pipeline) aggFold() int64 {
 			nJ = n
 			total *= n
 		} else {
-			n := int64(o.Lists[0].FetchLen(rt, b))
+			n := int64(o.Lists[0].FetchLen(rt, pl.scratch.op(j), b))
 			rt.ICost += n * (total - 1)
 			total *= n
 		}
@@ -174,7 +174,7 @@ func (pl *pipeline) aggFoldTraced() int64 {
 			n = pl.aggScanList(o, j, &cntJ, &sumJ, &minJ, &maxJ)
 			nJ = n
 		} else {
-			n = int64(o.Lists[0].FetchLen(rt, b))
+			n = int64(o.Lists[0].FetchLen(rt, pl.scratch.op(j), b))
 		}
 		rt.ICost += n * (total - 1)
 		sp.Nanos += int64(time.Since(t0))

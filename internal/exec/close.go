@@ -19,11 +19,14 @@ type CloseEdgeOp struct {
 
 func (o *CloseEdgeOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
 	target := b.V[o.TargetSlot]
-	sc.oneRef[0] = o.List
-	sc.initCombo(sc.oneRef[:])
+	if len(sc.oneRef) == 0 {
+		sc.oneRef = append(sc.oneRef, o.List)
+		sc.ensureFetched(1)
+	}
+	sc.initCombo(sc.oneRef)
 	for {
 		l := o.List.fetchWith(rt, sc, 0, b, sc.codes[0])
-		n := l.Len()
+		n := l.NumEntries()
 		lo, hi := 0, n
 		if o.Sorted {
 			// Hand-rolled binary search (no sort.Search closure): the list

@@ -29,12 +29,15 @@ func VertexOperand(slot int, prop string) Operand { return Operand{Slot: slot, P
 func EdgeOperand(slot int, prop string) Operand { return Operand{IsEdge: true, Slot: slot, Prop: prop} }
 
 // Value resolves the operand under a binding.
-func (o Operand) Value(rt *Runtime, b *Binding) storage.Value {
+func (o *Operand) Value(rt *Runtime, b *Binding) storage.Value {
 	if o.Shift != 0 {
-		v := o
-		v.Shift = 0
-		return pred.ApplyShift(v.Value(rt, b), o.Shift)
+		return pred.ApplyShift(o.unshifted(rt, b), o.Shift)
 	}
+	return o.unshifted(rt, b)
+}
+
+// unshifted resolves the operand under a binding, ignoring Shift.
+func (o *Operand) unshifted(rt *Runtime, b *Binding) storage.Value {
 	if o.IsConst {
 		return o.Const
 	}
@@ -61,7 +64,7 @@ func (o Operand) Value(rt *Runtime, b *Binding) storage.Value {
 }
 
 // String implements fmt.Stringer.
-func (o Operand) String() string {
+func (o *Operand) String() string {
 	if o.IsConst {
 		return o.Const.String()
 	}
@@ -80,19 +83,19 @@ type CompiledTerm struct {
 }
 
 // Eval evaluates the term; it also counts one predicate evaluation.
-func (t CompiledTerm) Eval(rt *Runtime, b *Binding) bool {
+func (t *CompiledTerm) Eval(rt *Runtime, b *Binding) bool {
 	rt.PredEvals++
 	return pred.Compare(t.Left.Value(rt, b), t.Op, t.Right.Value(rt, b))
 }
 
 // String implements fmt.Stringer.
-func (t CompiledTerm) String() string {
-	return fmt.Sprintf("%s %s %s", t.Left, t.Op, t.Right)
+func (t *CompiledTerm) String() string {
+	return fmt.Sprintf("%s %s %s", t.Left.String(), t.Op, t.Right.String())
 }
 
 func evalAll(rt *Runtime, b *Binding, terms []CompiledTerm) bool {
-	for _, t := range terms {
-		if !t.Eval(rt, b) {
+	for i := range terms {
+		if !terms[i].Eval(rt, b) {
 			return false
 		}
 	}

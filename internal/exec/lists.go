@@ -39,6 +39,11 @@ type Segment struct {
 // owner (a bound vertex slot for vertex-partitioned lists or a bound edge
 // slot for edge-partitioned lists), the resolved partition-bucket prefix,
 // an optional sorted segment, and the edge slot the matched edge binds to.
+//
+// A ListRef is immutable plan state shared by every worker. Its methods take
+// pointer receivers, so no fetch copies it, and a fetch writes what it
+// resolves into the calling operator's scratch slot (opScratch.fetched),
+// never into the ListRef.
 type ListRef struct {
 	Kind ListKind
 	Dir  index.Direction          // list direction (primary and VP)
@@ -77,49 +82,53 @@ func ExpandChoices(prefix []uint16, cards []int) [][]uint16 {
 	return out
 }
 
-// fetchBase resolves the list from the indexes under the current binding,
-// without segment restriction, delta splicing, or i-cost accounting.
-func (r ListRef) fetchBase(rt *Runtime, b *Binding, codes []uint16) index.AdjList {
+// fetchBase points dst at the list resolved from the indexes under the
+// current binding, without segment restriction, delta splicing, or i-cost
+// accounting.
+func (r *ListRef) fetchBase(rt *Runtime, b *Binding, codes []uint16, dst *index.AdjList) {
 	switch r.Kind {
 	case ListPrimary:
-		return rt.Store.Primary().List(r.Dir, b.V[r.OwnerVertexSlot], codes)
+		rt.Store.Primary().ListInto(r.Dir, b.V[r.OwnerVertexSlot], codes, dst)
 	case ListVP:
-		return r.VP.List(r.Dir, b.V[r.OwnerVertexSlot], codes)
+		r.VP.ListInto(r.Dir, b.V[r.OwnerVertexSlot], codes, dst)
 	case ListEP:
-		return r.EP.List(b.E[r.OwnerEdgeSlot], codes)
+		r.EP.ListInto(b.E[r.OwnerEdgeSlot], codes, dst)
 	}
-	return index.AdjList{}
 }
 
-// fetchSpliced resolves the list under the current binding and splices the
-// pinned snapshot's delta overlay into primary fetches (writing the merged
-// entries into list position li's reusable scratch buffer, so steady-state
-// fetches stay allocation-free), without segment restriction or i-cost
-// accounting. Fetching the same (binding, codes) twice — e.g. a thief
+// fetchSpliced fetches the list under the current binding into list
+// position li's AdjList slot and returns a pointer to it, without segment
+// restriction or i-cost accounting. The descriptor never crosses a call by
+// value: the index writes it into the slot, and every later step reads or
+// narrows it there. Primary fetches splice the pinned snapshot's delta
+// overlay, writing the merged entries into li's reusable splice buffer and
+// repointing the slot at them, so steady-state fetches stay
+// allocation-free. Fetching the same (binding, codes) twice — e.g. a thief
 // re-materializing a stolen sub-morsel's list — yields identical entries.
 // Secondary-index fetches never need splicing: the planner hides secondary
 // indexes while a snapshot carries a non-empty delta.
-func (r ListRef) fetchSpliced(rt *Runtime, sc *opScratch, li int, b *Binding, codes []uint16) index.AdjList {
-	l := r.fetchBase(rt, b, codes)
+func (r *ListRef) fetchSpliced(rt *Runtime, sc *opScratch, li int, b *Binding, codes []uint16) *index.AdjList {
+	l := &sc.fetched[li]
+	r.fetchBase(rt, b, codes, l)
 	if rt.Delta != nil && r.Kind == ListPrimary {
 		owner := uint32(b.V[r.OwnerVertexSlot])
 		if rt.Delta.Touches(r.Dir, owner) {
 			buf := sc.spliceBuf(li)
-			buf.nbrs, buf.eids = rt.Delta.Splice(rt.Store.Primary(), r.Dir, owner, codes, l, buf.nbrs, buf.eids)
-			l = index.DirectList(buf.nbrs, buf.eids)
+			buf.nbrs, buf.eids = rt.Delta.SpliceInto(rt.Store.Primary(), r.Dir, owner, codes, l, buf.nbrs, buf.eids)
 		}
 	}
 	return l
 }
 
-// fetchWith is fetchSpliced plus the sorted-segment restriction and the
-// i-cost charge for the resulting length — the normal operator fetch path.
-func (r ListRef) fetchWith(rt *Runtime, sc *opScratch, li int, b *Binding, codes []uint16) index.AdjList {
+// fetchWith is fetchSpliced plus the sorted-segment restriction (narrowing
+// the slot in place) and the i-cost charge for the resulting length — the
+// normal operator fetch path.
+func (r *ListRef) fetchWith(rt *Runtime, sc *opScratch, li int, b *Binding, codes []uint16) *index.AdjList {
 	l := r.fetchSpliced(rt, sc, li, b, codes)
 	if r.Seg != nil {
-		l = segmentList(rt, b, l, r.Seg)
+		segmentList(rt, b, l, r.Seg)
 	}
-	rt.ICost += int64(l.Len())
+	rt.ICost += int64(l.NumEntries())
 	return l
 }
 
@@ -127,9 +136,13 @@ func (r ListRef) fetchWith(rt *Runtime, sc *opScratch, li int, b *Binding, codes
 // the delta overlay, but without materializing the merged entries — and
 // charges that length to the runtime's i-cost exactly as a fetch would.
 // This is the count-pushdown fold path, which multiplies lengths instead of
-// enumerating; fold refs never carry segments.
-func (r ListRef) FetchLen(rt *Runtime, b *Binding) int {
-	n := r.fetchBase(rt, b, r.Codes).Len()
+// enumerating; fold refs never carry segments. The base list is resolved
+// into sc's slot 0.
+func (r *ListRef) FetchLen(rt *Runtime, sc *opScratch, b *Binding) int {
+	sc.ensureFetched(1)
+	l := &sc.fetched[0]
+	r.fetchBase(rt, b, r.Codes, l)
+	n := l.NumEntries()
 	if rt.Delta != nil && r.Kind == ListPrimary {
 		owner := uint32(b.V[r.OwnerVertexSlot])
 		if rt.Delta.Touches(r.Dir, owner) {
@@ -140,19 +153,21 @@ func (r ListRef) FetchLen(rt *Runtime, b *Binding) int {
 	return n
 }
 
-// segmentList binary-searches the [Lo, Hi) ordinal range of the first sort
-// key inside a list sorted on it. The searches are hand-rolled (no
-// sort.Search) so the per-fetch path allocates no closures.
-func segmentList(rt *Runtime, b *Binding, l index.AdjList, seg *Segment) index.AdjList {
+// segmentList narrows l in place to the [Lo, Hi) ordinal range of the first
+// sort key, located by binary search inside a list sorted on it. The
+// searches are hand-rolled (no sort.Search) so the per-fetch path allocates
+// no closures.
+func segmentList(rt *Runtime, b *Binding, l *index.AdjList, seg *Segment) {
 	g := rt.G
-	n := l.Len()
+	n := l.NumEntries()
 	segLo, segHi := seg.Lo, seg.Hi
 	hasLo, hasHi := seg.HasLo, seg.HasHi
 	if seg.DynEq != nil {
 		v := seg.DynEq.Value(rt, b)
 		ord, ok := index.OrdinalOfValue(g, seg.Key, v)
 		if !ok || v.IsNull() {
-			return l.Slice(0, 0)
+			l.Narrow(0, 0)
+			return
 		}
 		segLo, segHi = ord, ord+1
 		hasLo, hasHi = true, true
@@ -168,12 +183,12 @@ func segmentList(rt *Runtime, b *Binding, l index.AdjList, seg *Segment) index.A
 	if lo > hi {
 		lo = hi
 	}
-	return l.Slice(lo, hi)
+	l.Narrow(lo, hi)
 }
 
 // segSearch returns the first position in [0, n) whose sort-key ordinal is
 // >= target (n when none is).
-func segSearch(g *storage.Graph, key index.SortKey, l index.AdjList, n int, target uint64) int {
+func segSearch(g *storage.Graph, key index.SortKey, l *index.AdjList, n int, target uint64) int {
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -188,7 +203,7 @@ func segSearch(g *storage.Graph, key index.SortKey, l index.AdjList, n int, targ
 }
 
 // String implements fmt.Stringer (used by plan explanations).
-func (r ListRef) String() string {
+func (r *ListRef) String() string {
 	var base string
 	switch r.Kind {
 	case ListPrimary:
@@ -205,13 +220,4 @@ func (r ListRef) String() string {
 		base += fmt.Sprintf("/seg(%s)", r.Seg.Key)
 	}
 	return base
-}
-
-// nbrDirection returns which endpoint of a matched edge is the neighbour
-// for this list (needed to fill the other endpoint when binding edges).
-func (r ListRef) nbrDirection() index.Direction {
-	if r.Kind == ListEP {
-		return r.EP.EPDir().AdjDirection()
-	}
-	return r.Dir
 }

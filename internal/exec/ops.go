@@ -185,7 +185,7 @@ func (o *ExtendIntersectOp) run(rt *Runtime, sc *opScratch, b *Binding, next fun
 		r := &o.Lists[0]
 		sc.ensureLists(1)
 		sc.decode(0, r.fetchWith(rt, sc, 0, b, r.Codes))
-		f := sc.lists[0]
+		f := &sc.lists[0]
 		for i, nbr := range f.nbrs {
 			b.V[o.TargetSlot] = storage.VertexID(nbr)
 			b.E[r.EdgeSlot] = storage.EdgeID(f.eids[i])
@@ -204,7 +204,7 @@ func (o *ExtendIntersectOp) run(rt *Runtime, sc *opScratch, b *Binding, next fun
 		empty := false
 		for i := range o.Lists {
 			l := o.Lists[i].fetchWith(rt, sc, i, b, sc.codes[i])
-			if l.Len() == 0 {
+			if l.NumEntries() == 0 {
 				empty = true
 				break
 			}
@@ -213,7 +213,7 @@ func (o *ExtendIntersectOp) run(rt *Runtime, sc *opScratch, b *Binding, next fun
 		if !empty {
 			if z == 1 {
 				r := &o.Lists[0]
-				f := sc.lists[0]
+				f := &sc.lists[0]
 				for i, nbr := range f.nbrs {
 					b.V[o.TargetSlot] = storage.VertexID(nbr)
 					b.E[r.EdgeSlot] = storage.EdgeID(f.eids[i])
@@ -327,9 +327,12 @@ type MultiExtendOp struct {
 	Groups []MEGroup
 }
 
+// meCursor is one MULTI-EXTEND list's merge cursor. list points at the
+// list's fetch slot and ref at the worker's copy of its ListRef, so setting
+// a cursor up per fetch copies neither.
 type meCursor struct {
-	list index.AdjList
-	ref  ListRef
+	list *index.AdjList
+	ref  *ListRef
 	pos  int
 	end  int // run end for the current ordinal
 }
@@ -341,11 +344,12 @@ func (o *MultiExtendOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() 
 		ok := true
 		for i := range sc.refs {
 			l := sc.refs[i].fetchWith(rt, sc, i, b, sc.codes[i])
-			if l.Len() == 0 {
+			if l.NumEntries() == 0 {
 				ok = false
 				break
 			}
-			sc.cursors[i] = meCursor{list: l, ref: sc.refs[i]}
+			c := &sc.cursors[i]
+			c.list, c.ref, c.pos, c.end = l, &sc.refs[i], 0, 0
 		}
 		if ok && !o.merge(rt, sc, b, next) {
 			return false
@@ -371,7 +375,7 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 		var target uint64
 		for i := range cursors {
 			c := &cursors[i]
-			if c.pos >= c.list.Len() {
+			if c.pos >= c.list.NumEntries() {
 				return true
 			}
 			if ord := meOrdinal(g, o.Key, c, c.pos); ord > target {
@@ -385,10 +389,10 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 		agreed := true
 		for i := range cursors {
 			c := &cursors[i]
-			for c.pos < c.list.Len() && meOrdinal(g, o.Key, c, c.pos) < target {
+			for c.pos < c.list.NumEntries() && meOrdinal(g, o.Key, c, c.pos) < target {
 				c.pos++
 			}
-			if c.pos >= c.list.Len() {
+			if c.pos >= c.list.NumEntries() {
 				return true
 			}
 			if meOrdinal(g, o.Key, c, c.pos) != target {
@@ -401,7 +405,7 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 		for i := range cursors {
 			c := &cursors[i]
 			j := c.pos
-			for j < c.list.Len() && meOrdinal(g, o.Key, c, j) == target {
+			for j < c.list.NumEntries() && meOrdinal(g, o.Key, c, j) == target {
 				j++
 			}
 			c.end = j

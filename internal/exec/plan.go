@@ -196,7 +196,7 @@ func (pl *pipeline) sink() bool {
 		rows = pl.aggFold()
 		pl.n += rows
 	} else {
-		rows = pl.plan.foldedCount(pl.rt, pl.b, pl.stop)
+		rows = pl.plan.foldedCount(pl.rt, &pl.scratch, pl.b, pl.stop)
 		pl.n += rows
 	}
 	if pl.govEvery == 0 {
@@ -225,7 +225,7 @@ func (pl *pipeline) sinkTraced() bool {
 		rows = pl.aggFoldTraced()
 		pl.n += rows
 	} else {
-		rows = pl.plan.foldedCountTraced(pl.rt, pl.b, pl.stop, pl.tr)
+		rows = pl.plan.foldedCountTraced(pl.rt, &pl.scratch, pl.b, pl.stop, pl.tr)
 		pl.n += rows
 	}
 	pl.tr.spans[len(pl.plan.Ops)].Rows += rows
@@ -316,12 +316,12 @@ func (p *Plan) countFoldStart() int {
 // enumerate from the boundary binding b, as the product of its adjacency-
 // list lengths, charging exactly the i-cost enumeration would have charged:
 // enumeration fetches suffix list i once per tuple produced by lists 0..i-1.
-func (p *Plan) foldedCount(rt *Runtime, b *Binding, start int) int64 {
+func (p *Plan) foldedCount(rt *Runtime, s *Scratch, b *Binding, start int) int64 {
 	total := int64(1)
-	for _, op := range p.Ops[start:] {
-		o := op.(*ExtendIntersectOp)
+	for j := start; j < len(p.Ops); j++ {
+		o := p.Ops[j].(*ExtendIntersectOp)
 		// charges this list's (delta-spliced) length once
-		n := int64(o.Lists[0].FetchLen(rt, b))
+		n := int64(o.Lists[0].FetchLen(rt, s.op(j), b))
 		rt.ICost += n * (total - 1) // the remaining fetches enumeration does
 		total *= n
 		if total == 0 {
@@ -336,7 +336,7 @@ func (p *Plan) foldedCount(rt *Runtime, b *Binding, start int) int64 {
 // bit-identical to the untraced fold), but each folded operator's fetch,
 // i-cost share, and produced-tuple count land in its own span. These spans
 // are recorded exclusively — Trace.Report subtracts them from the sink.
-func (p *Plan) foldedCountTraced(rt *Runtime, b *Binding, start int, tr *Trace) int64 {
+func (p *Plan) foldedCountTraced(rt *Runtime, s *Scratch, b *Binding, start int, tr *Trace) int64 {
 	total := int64(1)
 	for j := start; j < len(p.Ops); j++ {
 		o := p.Ops[j].(*ExtendIntersectOp)
@@ -344,7 +344,7 @@ func (p *Plan) foldedCountTraced(rt *Runtime, b *Binding, start int, tr *Trace) 
 		sp.Calls++
 		icost0, preds0 := rt.ICost, rt.PredEvals
 		t0 := time.Now()
-		n := int64(o.Lists[0].FetchLen(rt, b))
+		n := int64(o.Lists[0].FetchLen(rt, s.op(j), b))
 		rt.ICost += n * (total - 1) // the remaining fetches enumeration does
 		sp.Nanos += int64(time.Since(t0))
 		sp.ICost += rt.ICost - icost0

@@ -51,11 +51,20 @@ type decodeBuf struct {
 type opScratch struct {
 	// Bucket-combination iterator state (initCombo/advanceCombo): per list,
 	// the expanded innermost-bucket alternatives, the odometer position, and
-	// the currently selected codes.
+	// the currently selected codes. oneRef is CloseEdgeOp's single list,
+	// copied once per worker so the combo iterator can range over it.
 	choices  [][][]uint16
 	comboIdx []int
 	codes    [][]uint16
-	oneRef   [1]ListRef
+	oneRef   []ListRef
+
+	// fetched holds one AdjList descriptor per list position of the op: a
+	// fetch resolves the list into its position's slot (ListRef.fetchWith
+	// returns a pointer to it), segments narrow it there, and decode and
+	// the probe loops read it there, so no descriptor is copied per fetch.
+	// Sized by ensureLists and initME before any fetch, and never grown
+	// while a pointer into it is live.
+	fetched []index.AdjList
 
 	// E/I state: decoded lists, their decode buffers, and the intersection
 	// cursors (current position and duplicate-run end per list).
@@ -135,9 +144,17 @@ func (sc *opScratch) advanceCombo() bool {
 	return false
 }
 
-// ensureLists sizes the E/I buffers for z lists, preserving decode buffers
-// already grown.
+// ensureFetched sizes the fetch slots for z list positions.
+func (sc *opScratch) ensureFetched(z int) {
+	if len(sc.fetched) < z {
+		sc.fetched = make([]index.AdjList, z)
+	}
+}
+
+// ensureLists sizes the fetch slots and E/I buffers for z lists, preserving
+// decode buffers already grown.
 func (sc *opScratch) ensureLists(z int) {
+	sc.ensureFetched(z)
 	for len(sc.bufs) < z {
 		sc.bufs = append(sc.bufs, decodeBuf{})
 	}
@@ -160,10 +177,10 @@ func (sc *opScratch) spliceBuf(i int) *decodeBuf {
 	return &sc.spliceBufs[i]
 }
 
-// decode block-decodes list i into flat slices: direct lists are aliased
-// with zero copies, offset lists are bulk-unpacked into the slot's reusable
-// buffers (index.AdjList.DecodeInto).
-func (sc *opScratch) decode(i int, l index.AdjList) {
+// decode block-decodes the fetched list l (normally &sc.fetched[i]) into
+// flat slices: direct lists are aliased with zero copies, offset lists are
+// bulk-unpacked into the slot's reusable buffers (index.AdjList.DecodeInto).
+func (sc *opScratch) decode(i int, l *index.AdjList) {
 	if nbrs, eids, ok := l.Direct(); ok {
 		sc.lists[i] = flatList{nbrs: nbrs, eids: eids}
 		return
@@ -188,6 +205,7 @@ func (sc *opScratch) initME(o *MultiExtendOp) {
 		}
 	}
 	sc.cursors = make([]meCursor, len(sc.refs))
+	sc.ensureFetched(len(sc.refs))
 	sc.groups = make([]meGroupScratch, len(o.Groups))
 	for gi := range sc.groups {
 		gs := &sc.groups[gi]

@@ -6,18 +6,26 @@ import (
 )
 
 // AdjList is a resolved adjacency list: a sequence of (neighbour vertex,
-// edge) pairs in index order. Primary lists wrap ID-list slices directly;
-// secondary lists resolve byte-packed offsets through the owner's primary
-// list range (the indirection of Section III-B3).
+// edge) pairs in index order. It is a descriptor, not the entries: primary
+// lists are direct slices of the CSR's ID arrays, and secondary lists are
+// byte-packed offsets resolved through the owner's primary range (the
+// indirection of Section III-B3). Both kinds keep their ID arrays in
+// nbrs/eids; offset mode adds off and the offset flag, so the descriptor is
+// 80 bytes.
+//
+// Any by-value use copies the whole descriptor, so executors fetch into a
+// slot they own (Primary.ListInto and friends) and read it through a
+// pointer; the methods that hot paths call take pointer receivers. Len and
+// Materialize keep value receivers for cold callers that hold the result of
+// a by-value List.
 type AdjList struct {
-	// Direct ID-list storage (primary indexes and delta-spliced lists).
+	// Direct mode: the list's entries. Offset mode: the owner's whole
+	// primary range, which off indexes into.
 	nbrs []uint32
 	eids []uint64
 
-	// Offset-list storage (secondary indexes): offsets into base*.
-	off      csr.List
-	baseNbrs []uint32
-	baseEids []uint64
+	off    csr.List
+	offset bool
 }
 
 // DirectList wraps raw (nbr, eid) arrays as an AdjList.
@@ -28,61 +36,83 @@ func DirectList(nbrs []uint32, eids []uint64) AdjList {
 // OffsetList wraps an offset list resolved against the owner's primary
 // range.
 func OffsetList(off csr.List, baseNbrs []uint32, baseEids []uint64) AdjList {
-	return AdjList{off: off, baseNbrs: baseNbrs, baseEids: baseEids}
+	return AdjList{nbrs: baseNbrs, eids: baseEids, off: off, offset: true}
 }
 
-// Len returns the number of adjacency entries.
-func (l AdjList) Len() int {
-	if l.baseNbrs != nil {
+// setDirect repoints l at raw (nbr, eid) arrays in place.
+func (l *AdjList) setDirect(nbrs []uint32, eids []uint64) {
+	l.nbrs, l.eids, l.off, l.offset = nbrs, eids, csr.List{}, false
+}
+
+// setOffset repoints l at an offset list over the owner's primary range in
+// place.
+func (l *AdjList) setOffset(off csr.List, baseNbrs []uint32, baseEids []uint64) {
+	l.nbrs, l.eids, l.off, l.offset = baseNbrs, baseEids, off, true
+}
+
+// NumEntries returns the number of adjacency entries.
+func (l *AdjList) NumEntries() int {
+	if l.offset {
 		return l.off.Len()
 	}
 	return len(l.nbrs)
 }
 
+// Len is NumEntries for callers holding an AdjList by value.
+func (l AdjList) Len() int { return l.NumEntries() }
+
 // Get returns the i-th (neighbour, edge) pair.
-func (l AdjList) Get(i int) (storage.VertexID, storage.EdgeID) {
-	if l.baseNbrs != nil {
-		o := l.off.At(i)
-		return storage.VertexID(l.baseNbrs[o]), storage.EdgeID(l.baseEids[o])
+func (l *AdjList) Get(i int) (storage.VertexID, storage.EdgeID) {
+	if l.offset {
+		i = int(l.off.At(i))
 	}
 	return storage.VertexID(l.nbrs[i]), storage.EdgeID(l.eids[i])
 }
 
 // Nbr returns just the i-th neighbour (hot path of intersections).
-func (l AdjList) Nbr(i int) storage.VertexID {
-	if l.baseNbrs != nil {
-		return storage.VertexID(l.baseNbrs[l.off.At(i)])
+func (l *AdjList) Nbr(i int) storage.VertexID {
+	if l.offset {
+		i = int(l.off.At(i))
 	}
 	return storage.VertexID(l.nbrs[i])
 }
 
 // Edge returns just the i-th edge.
-func (l AdjList) Edge(i int) storage.EdgeID {
-	if l.baseNbrs != nil {
-		return storage.EdgeID(l.baseEids[l.off.At(i)])
+func (l *AdjList) Edge(i int) storage.EdgeID {
+	if l.offset {
+		i = int(l.off.At(i))
 	}
 	return storage.EdgeID(l.eids[i])
+}
+
+// Narrow restricts l to its sublist [lo, hi) in place.
+func (l *AdjList) Narrow(lo, hi int) {
+	if l.offset {
+		l.off = l.off.Sub(lo, hi)
+		return
+	}
+	l.nbrs, l.eids = l.nbrs[lo:hi], l.eids[lo:hi]
 }
 
 // Direct returns the raw (nbr, eid) payload arrays when the list is stored
 // directly (primary indexes and delta-spliced lists), letting executors
 // read it with zero copies; ok is false for offset lists, which need
 // DecodeInto. Callers must not mutate the returned slices.
-func (l AdjList) Direct() (nbrs []uint32, eids []uint64, ok bool) {
-	if l.baseNbrs != nil {
+func (l *AdjList) Direct() (nbrs []uint32, eids []uint64, ok bool) {
+	if l.offset {
 		return nil, nil, false
 	}
 	return l.nbrs, l.eids, true
 }
 
 // DecodeInto bulk-decodes the list into nbrs/eids, reusing their capacity
-// and growing them when needed, and returns slices of length Len(). Offset
-// lists are resolved with one bulk unpack of the byte-packed offsets
+// and growing them when needed, and returns slices of length NumEntries().
+// Offset lists are resolved with one bulk unpack of the byte-packed offsets
 // (csr.List.UnpackInto) followed by a gather through the owner's primary
 // range — the per-element representation branch and byte-unpacking loop of
 // Get/Nbr are paid once per fetch instead of once per access.
-func (l AdjList) DecodeInto(nbrs []uint32, eids []uint64) ([]uint32, []uint64) {
-	n := l.Len()
+func (l *AdjList) DecodeInto(nbrs []uint32, eids []uint64) ([]uint32, []uint64) {
+	n := l.NumEntries()
 	if cap(nbrs) < n {
 		nbrs = make([]uint32, n)
 	}
@@ -91,7 +121,7 @@ func (l AdjList) DecodeInto(nbrs []uint32, eids []uint64) ([]uint32, []uint64) {
 		eids = make([]uint64, n)
 	}
 	eids = eids[:n]
-	if l.baseNbrs == nil {
+	if !l.offset {
 		copy(nbrs, l.nbrs)
 		copy(eids, l.eids)
 		return nbrs, eids
@@ -99,15 +129,15 @@ func (l AdjList) DecodeInto(nbrs []uint32, eids []uint64) ([]uint32, []uint64) {
 	// Unpack the offsets into nbrs, then resolve both payloads in place.
 	l.off.UnpackInto(nbrs)
 	for i, o := range nbrs {
-		eids[i] = l.baseEids[o]
-		nbrs[i] = l.baseNbrs[o]
+		eids[i] = l.eids[o]
+		nbrs[i] = l.nbrs[o]
 	}
 	return nbrs, eids
 }
 
 // Materialize copies the list into fresh (nbr, eid) arrays.
 func (l AdjList) Materialize() ([]uint32, []uint64) {
-	n := l.Len()
+	n := l.NumEntries()
 	nbrs := make([]uint32, n)
 	eids := make([]uint64, n)
 	for i := 0; i < n; i++ {
@@ -116,12 +146,4 @@ func (l AdjList) Materialize() ([]uint32, []uint64) {
 		eids[i] = uint64(e)
 	}
 	return nbrs, eids
-}
-
-// Slice returns the sublist [lo, hi).
-func (l AdjList) Slice(lo, hi int) AdjList {
-	if l.baseNbrs != nil {
-		return AdjList{off: l.off.Sub(lo, hi), baseNbrs: l.baseNbrs, baseEids: l.baseEids}
-	}
-	return DirectList(l.nbrs[lo:hi], l.eids[lo:hi])
 }

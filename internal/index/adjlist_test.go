@@ -2,6 +2,7 @@ package index
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/aplusdb/aplus/internal/csr"
 	"github.com/aplusdb/aplus/internal/storage"
@@ -61,5 +62,16 @@ func TestAdjListDecodeIntoOffsets(t *testing.T) {
 		if v, e := l.Get(i); v != storage.VertexID(gotN[i]) || e != storage.EdgeID(gotE[i]) {
 			t.Fatalf("DecodeInto disagrees with Get at %d", i)
 		}
+	}
+}
+
+// TestAdjListSize guards the descriptor's layout. Any by-value use of an
+// AdjList (a return, an argument, a value receiver called through a
+// pointer) copies the whole struct; at 120 B that copy was 27 % of the
+// embedded-join workload's CPU. Executors fetch into a slot and read it
+// through a pointer, but the descriptor must stay small regardless.
+func TestAdjListSize(t *testing.T) {
+	if got := unsafe.Sizeof(AdjList{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(AdjList{}) = %d B, want <= 80", got)
 	}
 }

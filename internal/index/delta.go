@@ -264,18 +264,19 @@ func delContains(dels []delRec, eid uint64) bool {
 	return lo < len(dels) && dels[lo].eid == eid
 }
 
-// Splice merges the overlay for (dir, owner), restricted to the codes
-// prefix, into the base list fetched from the frozen primary p: pending
+// SpliceInto merges the overlay for (dir, owner), restricted to the codes
+// prefix, into the base list l fetched from the frozen primary p: pending
 // inserts are interleaved in full index order (bucket codes, sort-key
 // ordinals, neighbour ID, edge ID — the order the base CSR itself is built
 // in) and pending deletes are dropped. The merged entries are written into
 // the caller's reusable nbrs/eids buffers, which are grown only when
 // capacity is insufficient, so a warm caller splices with zero heap
-// allocations.
-func (d *Delta) Splice(p *Primary, dir Direction, owner uint32, codes []uint16, base AdjList, nbrs []uint32, eids []uint64) ([]uint32, []uint64) {
+// allocations; l is then repointed at them in place, and the buffers are
+// returned for the caller to keep.
+func (d *Delta) SpliceInto(p *Primary, dir Direction, owner uint32, codes []uint16, l *AdjList, nbrs []uint32, eids []uint64) ([]uint32, []uint64) {
 	run := d.runs[dir].get(owner)
 	dels := d.dels[dir].get(owner)
-	n := base.Len()
+	n := l.NumEntries()
 	if cap(nbrs) < n+len(run) {
 		nbrs = make([]uint32, 0, n+len(run))
 	}
@@ -286,7 +287,7 @@ func (d *Delta) Splice(p *Primary, dir Direction, owner uint32, codes []uint16, 
 	ri := nextRunMatch(run, 0, codes)
 	var cb [8]uint16
 	for i := 0; i < n; i++ {
-		nb, e := base.Get(i)
+		nb, e := l.Get(i)
 		if len(dels) > 0 && delContains(dels, uint64(e)) {
 			continue
 		}
@@ -311,7 +312,13 @@ func (d *Delta) Splice(p *Primary, dir Direction, owner uint32, codes []uint16, 
 		eids = append(eids, run[ri].eid)
 		ri = nextRunMatch(run, ri+1, codes)
 	}
+	l.setDirect(nbrs, eids)
 	return nbrs, eids
+}
+
+// Splice is SpliceInto over a base list passed by value, for cold callers.
+func (d *Delta) Splice(p *Primary, dir Direction, owner uint32, codes []uint16, base AdjList, nbrs []uint32, eids []uint64) ([]uint32, []uint64) {
+	return d.SpliceInto(p, dir, owner, codes, &base, nbrs, eids)
 }
 
 // DeltaBuilder derives a successor Delta from a published parent during one

@@ -252,13 +252,17 @@ func (ep *EdgePartitioned) ResolveCodes(vals []storage.Value) ([]uint16, bool) {
 	return codes, true
 }
 
-// List returns the adjacency list bound to eb, restricted to a bucket-code
-// prefix.
-func (ep *EdgePartitioned) List(eb storage.EdgeID, codes []uint16) AdjList {
-	adjDir := ep.def.View.Dir.AdjDirection()
-	owner := ep.ownerVertex(eb)
-	baseNbrs, baseEids := ep.primary.ownerSlices(adjDir, owner)
-	return OffsetList(ep.lists.BucketList(uint32(eb), codes), baseNbrs, baseEids)
+// ListInto points dst at the adjacency list bound to eb, restricted to a
+// bucket-code prefix.
+func (ep *EdgePartitioned) ListInto(eb storage.EdgeID, codes []uint16, dst *AdjList) {
+	baseNbrs, baseEids := ep.primary.ownerSlices(ep.def.View.Dir.AdjDirection(), ep.ownerVertex(eb))
+	dst.setOffset(ep.lists.BucketList(uint32(eb), codes), baseNbrs, baseEids)
+}
+
+// List is ListInto returning the list by value, for cold callers.
+func (ep *EdgePartitioned) List(eb storage.EdgeID, codes []uint16) (l AdjList) {
+	ep.ListInto(eb, codes, &l)
+	return l
 }
 
 // NumIndexedEdges returns the number of stored (bound edge, adjacent edge)

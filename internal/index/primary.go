@@ -107,16 +107,23 @@ func (p *Primary) ResolveCodes(vals []storage.Value) ([]uint16, bool) {
 // edges at or past it are absent from the base and live in delta overlays.
 func (p *Primary) EdgeBound() storage.EdgeID { return p.edgeBound }
 
-// List returns the adjacency list of v under dir, restricted to the bucket
-// prefix codes (possibly empty = the whole neighbourhood). Vertices added
-// after the build (snapshot deltas) have an empty list.
-func (p *Primary) List(dir Direction, v storage.VertexID, codes []uint16) AdjList {
+// ListInto points dst at the adjacency list of v under dir, restricted to
+// the bucket prefix codes (possibly empty = the whole neighbourhood).
+// Vertices added after the build (snapshot deltas) have an empty list.
+func (p *Primary) ListInto(dir Direction, v storage.VertexID, codes []uint16, dst *AdjList) {
 	c := p.dirCSR(dir)
 	if int(v) >= c.NumOwners() {
-		return AdjList{}
+		dst.setDirect(nil, nil)
+		return
 	}
 	lo, hi := c.PrefixRange(uint32(v), codes)
-	return DirectList(c.Nbrs()[lo:hi], c.EIDs()[lo:hi])
+	dst.setDirect(c.Nbrs()[lo:hi], c.EIDs()[lo:hi])
+}
+
+// List is ListInto returning the list by value, for cold callers.
+func (p *Primary) List(dir Direction, v storage.VertexID, codes []uint16) (l AdjList) {
+	p.ListInto(dir, v, codes, &l)
+	return l
 }
 
 // ownerSlices returns the raw owner-range arrays for offset resolution.

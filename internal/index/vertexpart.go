@@ -162,12 +162,17 @@ func (v *VertexPartitioned) ResolveCodes(dir Direction, vals []storage.Value) ([
 	return codes, true
 }
 
-// List returns the view's adjacency list of owner under dir restricted to a
-// bucket-code prefix.
-func (v *VertexPartitioned) List(dir Direction, owner storage.VertexID, codes []uint16) AdjList {
-	d := v.dirs[dir]
+// ListInto points dst at the view's adjacency list of owner under dir
+// restricted to a bucket-code prefix.
+func (v *VertexPartitioned) ListInto(dir Direction, owner storage.VertexID, codes []uint16, dst *AdjList) {
 	baseNbrs, baseEids := v.primary.ownerSlices(dir, owner)
-	return OffsetList(d.lists.BucketList(uint32(owner), codes), baseNbrs, baseEids)
+	dst.setOffset(v.dirs[dir].lists.BucketList(uint32(owner), codes), baseNbrs, baseEids)
+}
+
+// List is ListInto returning the list by value, for cold callers.
+func (v *VertexPartitioned) List(dir Direction, owner storage.VertexID, codes []uint16) (l AdjList) {
+	v.ListInto(dir, owner, codes, &l)
+	return l
 }
 
 // Pred returns the view predicate (with vnbr unresolved).
