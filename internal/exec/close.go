@@ -21,9 +21,9 @@ func (o *CloseEdgeOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bo
 	target := b.V[o.TargetSlot]
 	if len(sc.oneRef) == 0 {
 		sc.oneRef = append(sc.oneRef, o.List)
-		sc.ensureFetched(1)
 	}
 	sc.initCombo(sc.oneRef)
+	sc.ensureLists(1)
 	for {
 		l := o.List.fetchWith(rt, sc, 0, b, sc.codes[0])
 		n := l.NumEntries()

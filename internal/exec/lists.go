@@ -42,7 +42,7 @@ type Segment struct {
 //
 // A ListRef is immutable plan state shared by every worker. Its methods take
 // pointer receivers, so no fetch copies it, and a fetch writes what it
-// resolves into the calling operator's scratch slot (opScratch.fetched),
+// resolves into the calling operator's scratch slot (opScratch.slots),
 // never into the ListRef.
 type ListRef struct {
 	Kind ListKind
@@ -97,27 +97,26 @@ func (r *ListRef) fetchBase(rt *Runtime, b *Binding, codes []uint16, dst *index.
 }
 
 // fetchSpliced fetches the list under the current binding into list
-// position li's AdjList slot and returns a pointer to it, without segment
-// restriction or i-cost accounting. The descriptor never crosses a call by
-// value: the index writes it into the slot, and every later step reads or
-// narrows it there. Primary fetches splice the pinned snapshot's delta
-// overlay, writing the merged entries into li's reusable splice buffer and
-// repointing the slot at them, so steady-state fetches stay
-// allocation-free. Fetching the same (binding, codes) twice — e.g. a thief
-// re-materializing a stolen sub-morsel's list — yields identical entries.
-// Secondary-index fetches never need splicing: the planner hides secondary
-// indexes while a snapshot carries a non-empty delta.
+// position li's slot and returns a pointer to it, without segment
+// restriction or i-cost accounting: the descriptor never crosses a call by
+// value. Primary fetches splice the pinned snapshot's delta overlay into
+// the slot's reusable splice buffer and repoint the slot at it, so
+// steady-state fetches stay allocation-free. Fetching the same (binding,
+// codes) twice — e.g. a thief re-materializing a stolen sub-morsel's list —
+// yields identical entries. Secondary-index fetches never need splicing:
+// the planner hides secondary indexes while a snapshot carries a non-empty
+// delta.
 func (r *ListRef) fetchSpliced(rt *Runtime, sc *opScratch, li int, b *Binding, codes []uint16) *index.AdjList {
-	l := &sc.fetched[li]
-	r.fetchBase(rt, b, codes, l)
+	slot := &sc.slots[li]
+	r.fetchBase(rt, b, codes, &slot.adj)
 	if rt.Delta != nil && r.Kind == ListPrimary {
 		owner := uint32(b.V[r.OwnerVertexSlot])
 		if rt.Delta.Touches(r.Dir, owner) {
-			buf := sc.spliceBuf(li)
-			buf.nbrs, buf.eids = rt.Delta.SpliceInto(rt.Store.Primary(), r.Dir, owner, codes, l, buf.nbrs, buf.eids)
+			buf := &slot.splice
+			buf.nbrs, buf.eids = rt.Delta.SpliceInto(rt.Store.Primary(), r.Dir, owner, codes, &slot.adj, buf.nbrs, buf.eids)
 		}
 	}
-	return l
+	return &slot.adj
 }
 
 // fetchWith is fetchSpliced plus the sorted-segment restriction (narrowing
@@ -136,11 +135,10 @@ func (r *ListRef) fetchWith(rt *Runtime, sc *opScratch, li int, b *Binding, code
 // the delta overlay, but without materializing the merged entries — and
 // charges that length to the runtime's i-cost exactly as a fetch would.
 // This is the count-pushdown fold path, which multiplies lengths instead of
-// enumerating; fold refs never carry segments. The base list is resolved
-// into sc's slot 0.
+// enumerating; fold refs never carry segments.
 func (r *ListRef) FetchLen(rt *Runtime, sc *opScratch, b *Binding) int {
-	sc.ensureFetched(1)
-	l := &sc.fetched[0]
+	sc.ensureLists(1)
+	l := &sc.slots[0].adj
 	r.fetchBase(rt, b, r.Codes, l)
 	n := l.NumEntries()
 	if rt.Delta != nil && r.Kind == ListPrimary {

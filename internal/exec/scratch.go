@@ -32,18 +32,23 @@ func (s *Scratch) op(i int) *opScratch { return &s.ops[i] }
 // flatList is a block-decoded adjacency list: plain parallel slices with no
 // per-element representation branch, the shape the intersection loops run
 // over. For direct lists the slices alias index storage (zero copy); for
-// offset lists they alias the slot's decode buffers.
+// offset lists they alias the slot's decode buffer.
 type flatList struct {
 	nbrs []uint32
 	eids []uint64
 }
 
-// decodeBuf is the owned backing storage offset lists are decoded into. It
-// is kept separate from the flatList views so a zero-copy direct list never
-// replaces (and never aliases) the reusable buffers.
-type decodeBuf struct {
-	nbrs []uint32
-	eids []uint64
+// listSlot is one list position's fetch state. A fetch resolves the list
+// into adj (ListRef.fetchWith returns &adj), a segment narrows it there,
+// and decode and the probe loops read it there, so no descriptor is copied
+// per fetch. splice and buf are owned buffers: a delta splice merges into
+// splice and repoints adj at it, and decode unpacks offset lists into buf.
+// They stay separate because a spliced list is direct, so decode aliases it
+// instead of copying, and must never unpack into it.
+type listSlot struct {
+	adj    index.AdjList
+	splice flatList
+	buf    flatList
 }
 
 // opScratch holds one operator's reusable buffers. All slices are sized on
@@ -58,26 +63,14 @@ type opScratch struct {
 	codes    [][]uint16
 	oneRef   []ListRef
 
-	// fetched holds one AdjList descriptor per list position of the op: a
-	// fetch resolves the list into its position's slot (ListRef.fetchWith
-	// returns a pointer to it), segments narrow it there, and decode and
-	// the probe loops read it there, so no descriptor is copied per fetch.
-	// Sized by ensureLists and initME before any fetch, and never grown
-	// while a pointer into it is live.
-	fetched []index.AdjList
-
-	// E/I state: decoded lists, their decode buffers, and the intersection
-	// cursors (current position and duplicate-run end per list).
+	// Per list position: the fetch slots, then the E/I state — decoded
+	// lists and the intersection cursors (current position and
+	// duplicate-run end per list). Sized by ensureLists before any fetch,
+	// and never grown while a fetch's pointer into slots is live.
+	slots  []listSlot
 	lists  []flatList
-	bufs   []decodeBuf
 	pos    []int
 	runEnd []int
-
-	// spliceBufs back delta-overlay splices, one per list position of the
-	// op, so every concurrently live fetch of the op has its own merged
-	// copy. Kept separate from bufs: a spliced list may later be "decoded"
-	// zero-copy (it is direct), and the decode buffers must never alias it.
-	spliceBufs []decodeBuf
 
 	// MULTI-EXTEND state, computed once per (worker, op slot): the flattened
 	// list refs across groups, each ref's group, the merge cursors, and
@@ -144,19 +137,11 @@ func (sc *opScratch) advanceCombo() bool {
 	return false
 }
 
-// ensureFetched sizes the fetch slots for z list positions.
-func (sc *opScratch) ensureFetched(z int) {
-	if len(sc.fetched) < z {
-		sc.fetched = make([]index.AdjList, z)
-	}
-}
-
-// ensureLists sizes the fetch slots and E/I buffers for z lists, preserving
-// decode buffers already grown.
+// ensureLists sizes the per-list state for z lists, preserving buffers
+// already grown.
 func (sc *opScratch) ensureLists(z int) {
-	sc.ensureFetched(z)
-	for len(sc.bufs) < z {
-		sc.bufs = append(sc.bufs, decodeBuf{})
+	for len(sc.slots) < z {
+		sc.slots = append(sc.slots, listSlot{})
 	}
 	if cap(sc.lists) < z {
 		sc.lists = make([]flatList, z)
@@ -168,24 +153,15 @@ func (sc *opScratch) ensureLists(z int) {
 	sc.runEnd = sc.runEnd[:z]
 }
 
-// spliceBuf returns list position i's reusable delta-splice buffer, growing
-// the slot array on first use (steady-state fetches reuse grown buffers).
-func (sc *opScratch) spliceBuf(i int) *decodeBuf {
-	for len(sc.spliceBufs) <= i {
-		sc.spliceBufs = append(sc.spliceBufs, decodeBuf{})
-	}
-	return &sc.spliceBufs[i]
-}
-
-// decode block-decodes the fetched list l (normally &sc.fetched[i]) into
+// decode block-decodes list i's fetched list l (&sc.slots[i].adj) into
 // flat slices: direct lists are aliased with zero copies, offset lists are
-// bulk-unpacked into the slot's reusable buffers (index.AdjList.DecodeInto).
+// bulk-unpacked into the slot's reusable buffer (index.AdjList.DecodeInto).
 func (sc *opScratch) decode(i int, l *index.AdjList) {
 	if nbrs, eids, ok := l.Direct(); ok {
 		sc.lists[i] = flatList{nbrs: nbrs, eids: eids}
 		return
 	}
-	b := &sc.bufs[i]
+	b := &sc.slots[i].buf
 	b.nbrs, b.eids = l.DecodeInto(b.nbrs, b.eids)
 	sc.lists[i] = flatList{nbrs: b.nbrs, eids: b.eids}
 }
@@ -205,7 +181,7 @@ func (sc *opScratch) initME(o *MultiExtendOp) {
 		}
 	}
 	sc.cursors = make([]meCursor, len(sc.refs))
-	sc.ensureFetched(len(sc.refs))
+	sc.ensureLists(len(sc.refs))
 	sc.groups = make([]meGroupScratch, len(o.Groups))
 	for gi := range sc.groups {
 		gs := &sc.groups[gi]

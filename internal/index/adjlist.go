@@ -6,18 +6,15 @@ import (
 )
 
 // AdjList is a resolved adjacency list: a sequence of (neighbour vertex,
-// edge) pairs in index order. It is a descriptor, not the entries: primary
-// lists are direct slices of the CSR's ID arrays, and secondary lists are
-// byte-packed offsets resolved through the owner's primary range (the
-// indirection of Section III-B3). Both kinds keep their ID arrays in
-// nbrs/eids; offset mode adds off and the offset flag, so the descriptor is
-// 80 bytes.
+// edge) pairs in index order. It is an 80-byte descriptor, not the entries.
+// Primary lists are direct slices of the CSR's ID arrays; secondary lists
+// are byte-packed offsets (off) into the owner's primary range, which sits
+// in the same nbrs/eids fields (the indirection of Section III-B3).
 //
 // Any by-value use copies the whole descriptor, so executors fetch into a
-// slot they own (Primary.ListInto and friends) and read it through a
-// pointer; the methods that hot paths call take pointer receivers. Len and
-// Materialize keep value receivers for cold callers that hold the result of
-// a by-value List.
+// slot they own (Primary.ListInto and friends) and call its pointer-receiver
+// methods. Len and Materialize keep value receivers for cold callers of the
+// by-value List.
 type AdjList struct {
 	// Direct mode: the list's entries. Offset mode: the owner's whole
 	// primary range, which off indexes into.
@@ -31,12 +28,6 @@ type AdjList struct {
 // DirectList wraps raw (nbr, eid) arrays as an AdjList.
 func DirectList(nbrs []uint32, eids []uint64) AdjList {
 	return AdjList{nbrs: nbrs, eids: eids}
-}
-
-// OffsetList wraps an offset list resolved against the owner's primary
-// range.
-func OffsetList(off csr.List, baseNbrs []uint32, baseEids []uint64) AdjList {
-	return AdjList{nbrs: baseNbrs, eids: baseEids, off: off, offset: true}
 }
 
 // setDirect repoints l at raw (nbr, eid) arrays in place.
@@ -136,14 +127,4 @@ func (l *AdjList) DecodeInto(nbrs []uint32, eids []uint64) ([]uint32, []uint64) 
 }
 
 // Materialize copies the list into fresh (nbr, eid) arrays.
-func (l AdjList) Materialize() ([]uint32, []uint64) {
-	n := l.NumEntries()
-	nbrs := make([]uint32, n)
-	eids := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		v, e := l.Get(i)
-		nbrs[i] = uint32(v)
-		eids[i] = uint64(e)
-	}
-	return nbrs, eids
-}
+func (l AdjList) Materialize() ([]uint32, []uint64) { return l.DecodeInto(nil, nil) }

@@ -44,7 +44,8 @@ func TestAdjListDecodeIntoOffsets(t *testing.T) {
 		b.Add(csr.OffsetEntry{Owner: 0, Offset: off}, nil)
 	}
 	o := b.Build(func(uint32) uint32 { return 4 })
-	l := OffsetList(o.OwnerList(0), base, baseE)
+	var l AdjList
+	l.setOffset(o.OwnerList(0), base, baseE)
 
 	if _, _, ok := l.Direct(); ok {
 		t.Fatal("offset list must not report Direct")
