@@ -30,37 +30,35 @@ func EdgeOperand(slot int, prop string) Operand { return Operand{IsEdge: true, S
 
 // Value resolves the operand under a binding.
 func (o *Operand) Value(rt *Runtime, b *Binding) storage.Value {
-	if o.Shift != 0 {
-		return pred.ApplyShift(o.unshifted(rt, b), o.Shift)
-	}
-	return o.unshifted(rt, b)
-}
-
-// unshifted resolves the operand under a binding, ignoring Shift.
-func (o *Operand) unshifted(rt *Runtime, b *Binding) storage.Value {
-	if o.IsConst {
-		return o.Const
-	}
-	if o.IsEdge {
+	var v storage.Value
+	switch {
+	case o.IsConst:
+		v = o.Const
+	case o.IsEdge:
 		e := b.E[o.Slot]
 		switch o.Prop {
 		case pred.PropID:
-			return storage.Int(int64(e))
+			v = storage.Int(int64(e))
 		case pred.PropLabel:
-			return storage.Str(rt.G.Catalog().EdgeLabelName(rt.G.EdgeLabel(e)))
+			v = storage.Str(rt.G.Catalog().EdgeLabelName(rt.G.EdgeLabel(e)))
 		default:
-			return rt.G.EdgeProp(e, o.Prop)
+			v = rt.G.EdgeProp(e, o.Prop)
+		}
+	default:
+		u := b.V[o.Slot]
+		switch o.Prop {
+		case pred.PropID:
+			v = storage.Int(int64(u))
+		case pred.PropLabel:
+			v = storage.Str(rt.G.Catalog().VertexLabelName(rt.G.VertexLabel(u)))
+		default:
+			v = rt.G.VertexProp(u, o.Prop)
 		}
 	}
-	v := b.V[o.Slot]
-	switch o.Prop {
-	case pred.PropID:
-		return storage.Int(int64(v))
-	case pred.PropLabel:
-		return storage.Str(rt.G.Catalog().VertexLabelName(rt.G.VertexLabel(v)))
-	default:
-		return rt.G.VertexProp(v, o.Prop)
+	if o.Shift != 0 {
+		v = pred.ApplyShift(v, o.Shift)
 	}
+	return v
 }
 
 // String implements fmt.Stringer.
