@@ -40,10 +40,9 @@ type Segment struct {
 // slot for edge-partitioned lists), the resolved partition-bucket prefix,
 // an optional sorted segment, and the edge slot the matched edge binds to.
 //
-// A ListRef is immutable plan state shared by every worker. Its methods take
-// pointer receivers, so no fetch copies it, and a fetch writes what it
-// resolves into the calling operator's scratch slot (opScratch.slots),
-// never into the ListRef.
+// A ListRef is immutable plan state shared by every worker: its methods take
+// pointer receivers so no fetch copies it, and a fetch writes into the
+// calling operator's scratch slot (opScratch.slots), never into the ListRef.
 type ListRef struct {
 	Kind ListKind
 	Dir  index.Direction          // list direction (primary and VP)

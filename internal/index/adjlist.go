@@ -30,13 +30,12 @@ func DirectList(nbrs []uint32, eids []uint64) AdjList {
 	return AdjList{nbrs: nbrs, eids: eids}
 }
 
-// setDirect repoints l at raw (nbr, eid) arrays in place.
+// setDirect repoints l at raw (nbr, eid) arrays.
 func (l *AdjList) setDirect(nbrs []uint32, eids []uint64) {
 	l.nbrs, l.eids, l.off, l.offset = nbrs, eids, csr.List{}, false
 }
 
-// setOffset repoints l at an offset list over the owner's primary range in
-// place.
+// setOffset repoints l at an offset list over the owner's primary range.
 func (l *AdjList) setOffset(off csr.List, baseNbrs []uint32, baseEids []uint64) {
 	l.nbrs, l.eids, l.off, l.offset = baseNbrs, baseEids, off, true
 }
