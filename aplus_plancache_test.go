@@ -7,6 +7,7 @@ package aplus
 // a fresh compile would have produced.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -165,4 +166,86 @@ func TestPlanCacheDisabled(t *testing.T) {
 
 func pcTriple(st Stats) [3]int64 {
 	return [3]int64{st.PlanCacheHits, st.PlanCacheMisses, st.PlanCacheEntries}
+}
+
+// TestCachedPlanBindsPerSnapshot runs each cached plan text on two
+// snapshots of one store with no fold between them. The second snapshot
+// changes the score and city columns (a new vertex, a new city string) and
+// adds a rank column. Each run must answer for its own snapshot, which
+// holds only if a plan's terms are bound to columns per pipeline, against
+// the snapshot it reads, and never on the cached plan.
+func TestCachedPlanBindsPerSnapshot(t *testing.T) {
+	db := New()
+	const n = 8
+	for i := 0; i < n; i++ {
+		if _, err := db.AddVertex("P", Props{"score": i, "city": fmt.Sprintf("C%d", i%3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, err := db.AddEdge(VertexID(i), VertexID((i+1)%n), "K", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := []struct {
+		q             string
+		before, after int64
+	}{
+		{"MATCH a-[e]->b WHERE a.score > 5", 2, 3},
+		{"MATCH a-[e]->b WHERE a.city = 'Oslo'", 0, 1},
+		{"MATCH a-[e]->b WHERE a.city = b.city", 0, 1},
+		{"MATCH a-[e]->b WHERE a.rank > 0", 0, 1},
+	}
+	counts := func(phase string, want func(int) int64) {
+		t.Helper()
+		for i, q := range queries {
+			for rep := 0; rep < 2; rep++ {
+				got, err := db.Count(q.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want(i) {
+					t.Fatalf("%s: %q counted %d, want %d", phase, q.q, got, want(i))
+				}
+			}
+		}
+	}
+	// A pending edge (between two cities, from a low score) puts the
+	// planner in its delta mode before the first count, so both snapshots
+	// below share each text's plan-cache key.
+	if _, err := db.Count(queries[0].q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddEdge(0, 1, "K", nil); err != nil {
+		t.Fatal(err)
+	}
+	counts("first snapshot", func(i int) int64 { return queries[i].before })
+	st1 := db.Stats()
+	// One batch: a vertex with a new city and a first rank, an edge from it
+	// to a vertex of the same city, and nothing that folds.
+	err := db.Batch(func(b *Batch) error {
+		v, err := b.AddVertex("P", Props{"score": 9, "city": "Oslo", "rank": 1})
+		if err != nil {
+			return err
+		}
+		w, err := b.AddVertex("P", Props{"city": "Oslo"})
+		if err != nil {
+			return err
+		}
+		_, err = b.AddEdge(v, w, "K", nil)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2 := db.Stats()
+	if st2.Epoch == st1.Epoch || st2.PendingWrites <= st1.PendingWrites {
+		t.Fatalf("the batch must publish a new snapshot without a fold: epoch %d -> %d, pending %d -> %d",
+			st1.Epoch, st2.Epoch, st1.PendingWrites, st2.PendingWrites)
+	}
+	counts("second snapshot", func(i int) int64 { return queries[i].after })
+	st3 := db.Stats()
+	if st3.PlanCacheMisses != st2.PlanCacheMisses {
+		t.Fatalf("the second snapshot must reuse the cached plans: misses %d -> %d", st2.PlanCacheMisses, st3.PlanCacheMisses)
+	}
 }

@@ -116,6 +116,12 @@ func (pl *pipeline) setAgg(spec *AggSpec) {
 	pl.agg = *spec
 	pl.aggRes = AggResult{}
 	pl.aggSlotOp = -1
+	// Bind the aggregated column once per run. Prop names a column, not a
+	// pseudo-property, and only int columns hold non-NULL aggregate values.
+	pl.aggCol = nil
+	if col, ok := pl.rt.G.VertexColumn(spec.Prop); ok && col.Kind == storage.KindInt {
+		pl.aggCol = col
+	}
 	if spec.Kind != AggCount {
 		for j := pl.stop; j < len(pl.plan.Ops); j++ {
 			if o, ok := pl.plan.Ops[j].(*ExtendIntersectOp); ok && o.TargetSlot == spec.Slot {
@@ -202,20 +208,28 @@ func (pl *pipeline) aggScanList(o *ExtendIntersectOp, j int, cntJ, sumJ, minJ, m
 	f := sc.lists[0]
 	*cntJ, *sumJ, *minJ, *maxJ = 0, 0, 0, 0
 	for _, nbr := range f.nbrs {
-		v := rt.G.VertexProp(storage.VertexID(nbr), pl.agg.Prop)
-		if v.Kind != storage.KindInt {
+		v, ok := pl.aggInt(storage.VertexID(nbr))
+		if !ok {
 			continue
 		}
-		if *cntJ == 0 || v.I < *minJ {
-			*minJ = v.I
+		if *cntJ == 0 || v < *minJ {
+			*minJ = v
 		}
-		if *cntJ == 0 || v.I > *maxJ {
-			*maxJ = v.I
+		if *cntJ == 0 || v > *maxJ {
+			*maxJ = v
 		}
-		*sumJ += v.I
+		*sumJ += v
 		*cntJ++
 	}
 	return int64(len(f.nbrs))
+}
+
+// aggInt reads the aggregated property of vertex v; ok is false for NULL.
+func (pl *pipeline) aggInt(v storage.VertexID) (int64, bool) {
+	if pl.aggCol == nil {
+		return 0, false
+	}
+	return pl.aggCol.IntAt(int(v))
 }
 
 // aggAccumulate folds one boundary tuple's contribution into pl.aggRes.
@@ -243,11 +257,11 @@ func (pl *pipeline) aggAccumulate(total, nJ, cntJ, sumJ, minJ, maxJ int64) {
 		res.NonNull += cntJ * tOther
 		return
 	}
-	v := pl.rt.G.VertexProp(pl.b.V[pl.agg.Slot], pl.agg.Prop)
-	if v.Kind != storage.KindInt {
+	v, ok := pl.aggInt(pl.b.V[pl.agg.Slot])
+	if !ok {
 		return
 	}
-	res.observe(v.I, total)
+	res.observe(v, total)
 }
 
 // Aggregate executes the plan and returns the aggregate over all matches,

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+
+	"github.com/aplusdb/aplus/internal/storage"
 )
 
 // CloseEdgeOp matches a query edge whose endpoints are both already bound,
@@ -17,13 +19,15 @@ type CloseEdgeOp struct {
 	Sorted bool
 }
 
+func (o *CloseEdgeOp) bind(g *storage.Graph, sc *opScratch) {
+	sc.oneRef = append(sc.oneRef[:0], o.List)
+	sc.ensureLists(1)
+	sc.slots[0].seg.bind(g, o.List.Seg)
+}
+
 func (o *CloseEdgeOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
 	target := b.V[o.TargetSlot]
-	if len(sc.oneRef) == 0 {
-		sc.oneRef = append(sc.oneRef, o.List)
-	}
 	sc.initCombo(sc.oneRef)
-	sc.ensureLists(1)
 	for {
 		l := o.List.fetchWith(rt, sc, 0, b, sc.codes[0])
 		n := l.NumEntries()

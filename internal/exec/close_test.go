@@ -148,3 +148,52 @@ func TestDynamicSegment(t *testing.T) {
 		t.Errorf("dynamic segment matched %v, want [v4]", got)
 	}
 }
+
+// TestDynamicSegmentNullAnchor checks that a DynEq whose anchor property is
+// NULL narrows the list to nothing, so it matches nothing and charges no
+// i-cost: NULL equals no city. It covers the operand that reads the sort
+// key's own column (customers have no city), one that reads another column
+// (accounts have no name), and one with no column at all; an account with
+// a city is the control.
+func TestDynamicSegmentNullAnchor(t *testing.T) {
+	rt := exampleRuntime(t)
+	city := index.SortKey{Var: 2, Prop: storage.PropCity} // pred.VarNbr
+	vp, err := rt.Store.CreateVertexPartitioned(index.VPDef{
+		View: index.View1Hop{Name: "VPc"},
+		Dirs: []index.Direction{index.FW},
+		Cfg:  index.Config{Partitions: index.DefaultConfig().Partitions, Sorts: []index.SortKey{city}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		anchor storage.VertexID
+		prop   string
+		want   int64
+	}{
+		{5, storage.PropCity, 0}, // a customer: no city
+		{2, storage.PropName, 0}, // an account: no name
+		{2, "missing", 0},        // no such column
+		{2, storage.PropCity, 1}, // control: v3 (BOS) reaches v4 (BOS)
+	} {
+		dyn := VertexOperand(0, c.prop)
+		plan := &Plan{
+			NumV: 2, NumE: 1,
+			Ops: []Op{
+				&ScanVertexOp{Slot: 0, ExactID: vptr(c.anchor)},
+				&ExtendIntersectOp{TargetSlot: 1, Lists: []ListRef{{
+					Kind: ListVP, VP: vp, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0,
+					Seg:    &Segment{Key: city, DynEq: &dyn},
+					Expand: ExpandChoices(nil, vp.LevelCards(index.FW)),
+				}}},
+			},
+		}
+		rt.ICost = 0
+		if n := plan.Count(rt); n != c.want {
+			t.Errorf("anchor v%d.%s: %d matches, want %d", c.anchor+1, c.prop, n, c.want)
+		}
+		if c.want == 0 && rt.ICost != 0 {
+			t.Errorf("anchor v%d.%s: i-cost %d, want 0", c.anchor+1, c.prop, rt.ICost)
+		}
+	}
+}

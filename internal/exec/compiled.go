@@ -7,16 +7,18 @@ import (
 	"github.com/aplusdb/aplus/internal/storage"
 )
 
-// Operand names one side of a compiled comparison: a property of a bound
-// query vertex or edge, or a constant. Shift adds a constant to numeric
-// variable operands (banded predicates).
+// Operand names one side of a query term as a plan keeps it: a property of
+// a bound query vertex or edge slot, by name, or a constant. A cached plan
+// is shared by every snapshot of its store, so it never holds a column:
+// each pipeline binds its operands once against its runtime's graph
+// (pred.SlotRef, pred.Compile) and evaluates them through the same compiled
+// terms as a view predicate.
 type Operand struct {
 	IsConst bool
 	Const   storage.Value
 	IsEdge  bool
 	Slot    int
 	Prop    string
-	Shift   int64
 }
 
 // ConstOperand builds a constant operand.
@@ -28,38 +30,8 @@ func VertexOperand(slot int, prop string) Operand { return Operand{Slot: slot, P
 // EdgeOperand builds an operand reading an edge slot's property.
 func EdgeOperand(slot int, prop string) Operand { return Operand{IsEdge: true, Slot: slot, Prop: prop} }
 
-// Value resolves the operand under a binding.
-func (o *Operand) Value(rt *Runtime, b *Binding) storage.Value {
-	var v storage.Value
-	switch {
-	case o.IsConst:
-		v = o.Const
-	case o.IsEdge:
-		e := b.E[o.Slot]
-		switch o.Prop {
-		case pred.PropID:
-			v = storage.Int(int64(e))
-		case pred.PropLabel:
-			v = storage.Str(rt.G.Catalog().EdgeLabelName(rt.G.EdgeLabel(e)))
-		default:
-			v = rt.G.EdgeProp(e, o.Prop)
-		}
-	default:
-		u := b.V[o.Slot]
-		switch o.Prop {
-		case pred.PropID:
-			v = storage.Int(int64(u))
-		case pred.PropLabel:
-			v = storage.Str(rt.G.Catalog().VertexLabelName(rt.G.VertexLabel(u)))
-		default:
-			v = rt.G.VertexProp(u, o.Prop)
-		}
-	}
-	if o.Shift != 0 {
-		v = pred.ApplyShift(v, o.Shift)
-	}
-	return v
-}
+// ref returns the binding-slot reference of a variable operand.
+func (o *Operand) ref() pred.Ref { return pred.SlotRef(o.IsEdge, o.Slot, o.Prop) }
 
 // String implements fmt.Stringer.
 func (o *Operand) String() string {
@@ -73,17 +45,29 @@ func (o *Operand) String() string {
 	return fmt.Sprintf("%s%d.%s", kind, o.Slot, o.Prop)
 }
 
-// CompiledTerm is a comparison ready to evaluate against bindings.
+// CompiledTerm is one comparison of a plan, Left Op Right+Shift: Left is a
+// variable operand, Right a variable or a constant, and Shift is added to
+// the right operand (banded predicates). Terms are NULL-strict and compare
+// as pred.Compare does.
 type CompiledTerm struct {
 	Left  Operand
 	Op    pred.Op
 	Right Operand
+	Shift int64
 }
 
-// Eval evaluates the term; it also counts one predicate evaluation.
-func (t *CompiledTerm) Eval(rt *Runtime, b *Binding) bool {
-	rt.PredEvals++
-	return pred.Compare(t.Left.Value(rt, b), t.Op, t.Right.Value(rt, b))
+// term returns t as a predicate term over binding slots.
+func (t *CompiledTerm) term() pred.Term {
+	if t.Left.IsConst {
+		panic("exec: a term's left operand must be a variable")
+	}
+	pt := pred.Term{Left: t.Left.ref(), Op: t.Op}
+	if t.Right.IsConst {
+		pt.Const = pred.ApplyShift(t.Right.Const, t.Shift)
+	} else {
+		pt.Right, pt.Shift = t.Right.ref(), t.Shift
+	}
+	return pt
 }
 
 // String implements fmt.Stringer.
@@ -91,11 +75,20 @@ func (t *CompiledTerm) String() string {
 	return fmt.Sprintf("%s %s %s", t.Left.String(), t.Op, t.Right.String())
 }
 
-func evalAll(rt *Runtime, b *Binding, terms []CompiledTerm) bool {
+// bindTerms compiles an operator's terms against g, once per pipeline.
+func bindTerms(g *storage.Graph, terms []CompiledTerm) *pred.Compiled {
+	p := pred.Predicate{Terms: make([]pred.Term, len(terms))}
 	for i := range terms {
-		if !terms[i].Eval(rt, b) {
-			return false
-		}
+		p.Terms[i] = terms[i].term()
 	}
-	return true
+	return pred.Compile(p, g)
+}
+
+// evalAll reports whether the binding satisfies an operator's bound terms,
+// counting one predicate evaluation per term evaluated: terms run in order
+// and stop at the first false one.
+func evalAll(rt *Runtime, b *Binding, terms *pred.Compiled) bool {
+	ok, n := terms.EvalBinding(b.V, b.E)
+	rt.PredEvals += n
+	return ok
 }

@@ -119,6 +119,7 @@ func BenchmarkFetch(b *testing.B) {
 			bind := NewBinding(1, 1)
 			var sc opScratch
 			sc.ensureLists(1)
+			sc.slots[0].seg.bind(rt.G, r.Seg)
 			fetch := func(i int) int {
 				bind.V[0] = storage.VertexID(i % c.owners)
 				bind.E[0] = storage.EdgeID(i % c.owners)

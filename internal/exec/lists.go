@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/aplusdb/aplus/internal/index"
+	"github.com/aplusdb/aplus/internal/pred"
 	"github.com/aplusdb/aplus/internal/storage"
 )
 
@@ -27,6 +28,10 @@ const (
 // DynEq, when set, narrows the segment at runtime to entries whose sort-key
 // value equals a bound variable's property (e.g. a2.city = a1.city with a1
 // already matched); the static bounds are ignored in that case.
+//
+// Like Operand, a Segment names its key and operand; each pipeline binds
+// them against its runtime's graph into the list position's slot
+// (boundSegment), so a probe reads columns by position.
 type Segment struct {
 	Key    index.SortKey
 	Lo, Hi uint64
@@ -120,11 +125,16 @@ func (r *ListRef) fetchSpliced(rt *Runtime, sc *opScratch, li int, b *Binding, c
 
 // fetchWith is fetchSpliced plus the sorted-segment restriction (narrowing
 // the slot in place) and the i-cost charge for the resulting length — the
-// normal operator fetch path.
+// normal operator fetch path. The segment is the one bound into the slot
+// when the pipeline was built.
 func (r *ListRef) fetchWith(rt *Runtime, sc *opScratch, li int, b *Binding, codes []uint16) *index.AdjList {
 	l := r.fetchSpliced(rt, sc, li, b, codes)
 	if r.Seg != nil {
-		segmentList(rt, b, l, r.Seg)
+		seg := &sc.slots[li].seg
+		if seg.src != r.Seg {
+			panic("exec: list segment fetched without being bound")
+		}
+		seg.narrow(b, l)
 	}
 	rt.ICost += int64(l.NumEntries())
 	return l
@@ -150,32 +160,89 @@ func (r *ListRef) FetchLen(rt *Runtime, sc *opScratch, b *Binding) int {
 	return n
 }
 
-// segmentList narrows l in place to the [Lo, Hi) ordinal range of the first
-// sort key, located by binary search inside a list sorted on it. The
-// searches are hand-rolled (no sort.Search) so the per-fetch path allocates
-// no closures.
-func segmentList(rt *Runtime, b *Binding, l *index.AdjList, seg *Segment) {
-	g := rt.G
+// boundSegment is a Segment bound against one pipeline's graph: the sort
+// key reads ordinals by position, and a dynamic equality reads its operand
+// by position. It lives in the list position's slot.
+type boundSegment struct {
+	src          *Segment
+	key          index.BoundSortKey
+	lo, hi       uint64
+	hasLo, hasHi bool
+	// dyn is a DynEq operand bound against the graph. sameKey marks one
+	// that reads the sort key's own vertex property: its ordinal is the
+	// key's ordinal of the bound vertex dynSlot, with no Value in between.
+	dyn     pred.Operand
+	isDyn   bool
+	sameKey bool
+	dynSlot int
+	// empty marks a constant DynEq that no entry can match.
+	empty bool
+}
+
+// bind binds seg (nil for an unsegmented list) against g.
+func (s *boundSegment) bind(g *storage.Graph, seg *Segment) {
+	*s = boundSegment{src: seg}
+	if seg == nil {
+		return
+	}
+	s.key = index.BindSortKey(g, seg.Key)
+	s.lo, s.hi, s.hasLo, s.hasHi = seg.Lo, seg.Hi, seg.HasLo, seg.HasHi
+	d := seg.DynEq
+	switch {
+	case d == nil:
+	case d.IsConst:
+		ord, ok := s.ordinalOf(d.Const)
+		s.lo, s.hi, s.hasLo, s.hasHi, s.empty = ord, ord+1, true, true, !ok
+	case !d.IsEdge && seg.Key.Var == pred.VarNbr && d.Prop == seg.Key.Prop:
+		s.isDyn, s.sameKey, s.dynSlot = true, true, d.Slot
+	default:
+		s.isDyn, s.dyn = true, pred.BindOperand(g, d.ref())
+	}
+}
+
+// ordinalOf maps a DynEq value to the key's ordinal space; ok is false when
+// no entry can match it: NULL, a value the key cannot hold, or the NULL
+// ordinal itself (whose ord+1 would wrap).
+func (s *boundSegment) ordinalOf(v storage.Value) (uint64, bool) {
+	if v.IsNull() {
+		return 0, false
+	}
+	ord, ok := s.key.OrdinalOf(v)
+	return ord, ok && ord != ^uint64(0)
+}
+
+// narrow narrows l in place to the [lo, hi) ordinal range of the first sort
+// key, located by binary search inside a list sorted on it.
+func (s *boundSegment) narrow(b *Binding, l *index.AdjList) {
 	n := l.NumEntries()
-	segLo, segHi := seg.Lo, seg.Hi
-	hasLo, hasHi := seg.HasLo, seg.HasHi
-	if seg.DynEq != nil {
-		v := seg.DynEq.Value(rt, b)
-		ord, ok := index.OrdinalOfValue(g, seg.Key, v)
-		if !ok || v.IsNull() {
+	segLo, segHi := s.lo, s.hi
+	hasLo, hasHi := s.hasLo, s.hasHi
+	if s.isDyn {
+		var ord uint64
+		ok := true
+		if s.sameKey {
+			ord = s.key.Ordinal(0, b.V[s.dynSlot])
+			ok = ord != ^uint64(0) // NULL
+		} else {
+			ord, ok = s.ordinalOf(s.dyn.ValueIn(b.V, b.E))
+		}
+		if !ok {
 			l.Narrow(0, 0)
 			return
 		}
 		segLo, segHi = ord, ord+1
 		hasLo, hasHi = true, true
+	} else if s.empty {
+		l.Narrow(0, 0)
+		return
 	}
 	lo := 0
 	if hasLo {
-		lo = segSearch(g, seg.Key, l, n, segLo)
+		lo = s.search(l, n, segLo)
 	}
 	hi := n
 	if hasHi {
-		hi = segSearch(g, seg.Key, l, n, segHi)
+		hi = s.search(l, n, segHi)
 	}
 	if lo > hi {
 		lo = hi
@@ -183,14 +250,15 @@ func segmentList(rt *Runtime, b *Binding, l *index.AdjList, seg *Segment) {
 	l.Narrow(lo, hi)
 }
 
-// segSearch returns the first position in [0, n) whose sort-key ordinal is
-// >= target (n when none is).
-func segSearch(g *storage.Graph, key index.SortKey, l *index.AdjList, n int, target uint64) int {
+// search returns the first position in [0, n) whose sort-key ordinal is
+// >= target (n when none is). It is hand-rolled (no sort.Search) so the
+// per-fetch path allocates no closures.
+func (s *boundSegment) search(l *index.AdjList, n int, target uint64) int {
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		nbr, e := l.Get(mid)
-		if index.SortKeyOrdinal(g, key, e, nbr) < target {
+		if s.key.Ordinal(e, nbr) < target {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -13,7 +13,12 @@ import (
 // sc is the operator's slot in the worker's Scratch arena: all per-tuple
 // buffers live there, never on the heap, and Op values themselves carry no
 // mutable state so one Plan can run in many workers at once.
+//
+// bind runs once when a pipeline is built: it compiles the operator's
+// terms, segments and sort keys against the runtime's graph into sc, so run
+// reads property columns by position and never looks a name up.
 type Op interface {
+	bind(g *storage.Graph, sc *opScratch)
 	run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool
 	explain() string
 }
@@ -28,6 +33,8 @@ type ScanVertexOp struct {
 	ExactID  *storage.VertexID
 	Terms    []CompiledTerm
 }
+
+func (o *ScanVertexOp) bind(g *storage.Graph, sc *opScratch) { sc.terms = bindTerms(g, o.Terms) }
 
 func (o *ScanVertexOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
 	return o.runRange(rt, sc, b, 0, o.tableSize(rt), next)
@@ -47,10 +54,10 @@ func (o *ScanVertexOp) tableSize(rt *Runtime) int {
 // runRange scans positions [lo, hi) of the vertex table — or, when a label
 // is fixed, of the per-label vertex list, so unlabeled vertices are never
 // touched (partitionableOp).
-func (o *ScanVertexOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi int, next func() bool) bool {
+func (o *ScanVertexOp) runRange(rt *Runtime, sc *opScratch, b *Binding, lo, hi int, next func() bool) bool {
 	tryOne := func(v storage.VertexID) bool {
 		b.V[o.Slot] = v
-		if !evalAll(rt, b, o.Terms) {
+		if !evalAll(rt, b, sc.terms) {
 			return true
 		}
 		return next()
@@ -108,6 +115,8 @@ type ScanEdgeOp struct {
 	Terms                      []CompiledTerm
 }
 
+func (o *ScanEdgeOp) bind(g *storage.Graph, sc *opScratch) { sc.terms = bindTerms(g, o.Terms) }
+
 func (o *ScanEdgeOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
 	return o.runRange(rt, sc, b, 0, o.tableSize(rt), next)
 }
@@ -121,7 +130,7 @@ func (o *ScanEdgeOp) tableSize(rt *Runtime) int {
 }
 
 // runRange scans edge slots [lo, hi) of the edge table (partitionableOp).
-func (o *ScanEdgeOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi int, next func() bool) bool {
+func (o *ScanEdgeOp) runRange(rt *Runtime, sc *opScratch, b *Binding, lo, hi int, next func() bool) bool {
 	tryOne := func(e storage.EdgeID) bool {
 		if rt.G.EdgeDeleted(e) {
 			return true
@@ -135,7 +144,7 @@ func (o *ScanEdgeOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi int,
 		b.E[o.EdgeSlot] = e
 		b.V[o.SrcSlot] = rt.G.Src(e)
 		b.V[o.DstSlot] = rt.G.Dst(e)
-		if !evalAll(rt, b, o.Terms) {
+		if !evalAll(rt, b, sc.terms) {
 			return true
 		}
 		return next()
@@ -176,6 +185,13 @@ func (o *ScanEdgeOp) explain() string {
 type ExtendIntersectOp struct {
 	Lists      []ListRef
 	TargetSlot int
+}
+
+func (o *ExtendIntersectOp) bind(g *storage.Graph, sc *opScratch) {
+	sc.ensureLists(len(o.Lists))
+	for i := range o.Lists {
+		sc.slots[i].seg.bind(g, o.Lists[i].Seg)
+	}
 }
 
 func (o *ExtendIntersectOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
@@ -337,8 +353,15 @@ type meCursor struct {
 	end  int // run end for the current ordinal
 }
 
-func (o *MultiExtendOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
+func (o *MultiExtendOp) bind(g *storage.Graph, sc *opScratch) {
 	sc.initME(o)
+	sc.meKey = index.BindSortKey(g, o.Key)
+	for i := range sc.refs {
+		sc.slots[i].seg.bind(g, sc.refs[i].Seg)
+	}
+}
+
+func (o *MultiExtendOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
 	sc.initCombo(sc.refs)
 	for {
 		ok := true
@@ -361,13 +384,13 @@ func (o *MultiExtendOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() 
 }
 
 // meOrdinal computes the sort-key ordinal of cursor entry i.
-func meOrdinal(g *storage.Graph, key index.SortKey, c *meCursor, i int) uint64 {
+func meOrdinal(key *index.BoundSortKey, c *meCursor, i int) uint64 {
 	nbr, e := c.list.Get(i)
-	return index.SortKeyOrdinal(g, key, e, nbr)
+	return key.Ordinal(e, nbr)
 }
 
 func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
-	g := rt.G
+	key := &sc.meKey
 	cursors := sc.cursors
 	nullOrd := ^uint64(0)
 	for {
@@ -378,7 +401,7 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 			if c.pos >= c.list.NumEntries() {
 				return true
 			}
-			if ord := meOrdinal(g, o.Key, c, c.pos); ord > target {
+			if ord := meOrdinal(key, c, c.pos); ord > target {
 				target = ord
 			}
 		}
@@ -389,13 +412,13 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 		agreed := true
 		for i := range cursors {
 			c := &cursors[i]
-			for c.pos < c.list.NumEntries() && meOrdinal(g, o.Key, c, c.pos) < target {
+			for c.pos < c.list.NumEntries() && meOrdinal(key, c, c.pos) < target {
 				c.pos++
 			}
 			if c.pos >= c.list.NumEntries() {
 				return true
 			}
-			if meOrdinal(g, o.Key, c, c.pos) != target {
+			if meOrdinal(key, c, c.pos) != target {
 				agreed = false
 			}
 		}
@@ -405,7 +428,7 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 		for i := range cursors {
 			c := &cursors[i]
 			j := c.pos
-			for j < c.list.NumEntries() && meOrdinal(g, o.Key, c, j) == target {
+			for j < c.list.NumEntries() && meOrdinal(key, c, j) == target {
 				j++
 			}
 			c.end = j
@@ -525,8 +548,10 @@ type FilterOp struct {
 	Terms []CompiledTerm
 }
 
-func (o *FilterOp) run(rt *Runtime, _ *opScratch, b *Binding, next func() bool) bool {
-	if !evalAll(rt, b, o.Terms) {
+func (o *FilterOp) bind(g *storage.Graph, sc *opScratch) { sc.terms = bindTerms(g, o.Terms) }
+
+func (o *FilterOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
+	if !evalAll(rt, b, sc.terms) {
 		return true
 	}
 	return next()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"github.com/aplusdb/aplus/internal/storage"
 )
 
 // Plan is a linear pipeline of physical operators producing complete
@@ -22,10 +24,12 @@ type Plan struct {
 
 // pipeline is a plan compiled against one Runtime: the reusable binding,
 // the operator scratch arena, and a closure chain built once so that the
-// per-tuple path performs no allocations (the previous implementation
-// rebuilt a closure per operator invocation). A Runtime caches the pipeline
-// of the last plan it executed, so repeated Count/Execute calls on a warm
-// Runtime are allocation-free.
+// per-tuple path performs no allocations. Building it also binds the plan's
+// terms, segments and sort keys against the Runtime's graph (Op.bind), the
+// one place a query resolves property names: the Plan itself keeps names
+// only, because a cached plan serves every snapshot of its store. A Runtime
+// caches the pipeline of the last plan it executed, so repeated
+// Count/Execute calls on a warm Runtime are allocation-free.
 type pipeline struct {
 	plan *Plan
 	rt   *Runtime
@@ -46,11 +50,14 @@ type pipeline struct {
 	n    int64
 
 	// Aggregate sink state (see agg.go): aggOn selects the aggregate fold
-	// over the plain counting fold, agg is the armed spec, aggSlotOp the
-	// folded operator binding the aggregated slot (-1 when it is bound
-	// before the boundary), and aggRes the run's accumulator.
+	// over the plain counting fold, agg is the armed spec, aggCol its int
+	// column bound against the Runtime's graph (nil when every value is
+	// NULL), aggSlotOp the folded operator binding the aggregated slot (-1
+	// when it is bound before the boundary), and aggRes the run's
+	// accumulator.
 	aggOn     bool
 	agg       AggSpec
+	aggCol    *storage.Column
 	aggSlotOp int
 	aggRes    AggResult
 
@@ -126,6 +133,9 @@ func (rt *Runtime) pipelineFor(p *Plan) *pipeline {
 	}
 	pl := &pipeline{plan: p, rt: rt, b: NewBinding(p.NumV, p.NumE)}
 	pl.scratch.reset(len(p.Ops))
+	for i, op := range p.Ops {
+		op.bind(rt.G, pl.scratch.op(i))
+	}
 	pl.next = make([]func() bool, len(p.Ops)+1)
 	for i := 1; i <= len(p.Ops); i++ {
 		i := i

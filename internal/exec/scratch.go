@@ -2,6 +2,7 @@ package exec
 
 import (
 	"github.com/aplusdb/aplus/internal/index"
+	"github.com/aplusdb/aplus/internal/pred"
 )
 
 // Scratch is a per-worker arena of reusable operator buffers. Every slice a
@@ -49,6 +50,8 @@ type listSlot struct {
 	adj    index.AdjList
 	splice flatList
 	buf    flatList
+	// seg is the position's segment bound when the pipeline was built.
+	seg boundSegment
 }
 
 // opScratch holds one operator's reusable buffers. All slices are sized on
@@ -72,14 +75,18 @@ type opScratch struct {
 	pos    []int
 	runEnd []int
 
-	// MULTI-EXTEND state, computed once per (worker, op slot): the flattened
-	// list refs across groups, each ref's group, the merge cursors, and
-	// per-group emit state.
+	// MULTI-EXTEND state, computed once per pipeline: the flattened list
+	// refs across groups, each ref's group, the merge cursors, per-group
+	// emit state, and the bound sort key.
 	refs     []ListRef
 	refGroup []int
 	cursors  []meCursor
 	groups   []meGroupScratch
-	meReady  bool
+	meKey    index.BoundSortKey
+
+	// terms is the operator's terms bound against the pipeline's graph
+	// (ScanVertexOp, ScanEdgeOp, FilterOp).
+	terms *pred.Compiled
 }
 
 // meGroupScratch is the per-group emit state of a MULTI-EXTEND: the cursor
@@ -167,11 +174,8 @@ func (sc *opScratch) decode(i int, l *index.AdjList) {
 }
 
 // initME computes the MULTI-EXTEND shape (flattened refs, group membership,
-// per-group emit buffers) the first time the op runs in this worker.
+// per-group emit buffers) when the pipeline is built.
 func (sc *opScratch) initME(o *MultiExtendOp) {
-	if sc.meReady {
-		return
-	}
 	sc.refs = sc.refs[:0]
 	sc.refGroup = sc.refGroup[:0]
 	for gi := range o.Groups {
@@ -193,7 +197,6 @@ func (sc *opScratch) initME(o *MultiExtendOp) {
 		gs.idx = make([]int, len(gs.cur))
 		gs.ends = make([]int, len(gs.cur))
 	}
-	sc.meReady = true
 }
 
 // gallopNbrs returns the first position >= from whose value is >= target,

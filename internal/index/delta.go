@@ -285,6 +285,8 @@ func (d *Delta) SpliceInto(p *Primary, dir Direction, owner uint32, codes []uint
 	}
 	nbrs, eids = nbrs[:0], eids[:0]
 	ri := nextRunMatch(run, 0, codes)
+	var sorts boundSorts
+	sorts.bind(p.g, p.cfg.Sorts)
 	var cb [8]uint16
 	for i := 0; i < n; i++ {
 		nb, e := l.Get(i)
@@ -295,7 +297,7 @@ func (d *Delta) SpliceInto(p *Primary, dir Direction, owner uint32, codes []uint
 			cur := bufEntry{
 				nbr:   uint32(nb),
 				eid:   uint64(e),
-				sort:  sortOrdinals(p.g, p.cfg.Sorts, e, nb),
+				sort:  sorts.ordinals(e, nb),
 				codes: codesFor(p.levels, e, nb, cb[:0]),
 			}
 			for ri < len(run) && bufLess(run[ri], cur) {
@@ -416,16 +418,13 @@ func (b *DeltaBuilder) baseSortOrdinal(k SortKey, e storage.EdgeID, nbr storage.
 		}
 		return uint64(b.g.EdgeLabel(e)), true
 	}
-	var v storage.Value
-	if k.Var == pred.VarNbr {
-		v = b.g.VertexProp(nbr, k.Prop)
-	} else {
-		v = b.g.EdgeProp(e, k.Prop)
-	}
+	cur := BindSortKey(b.g, k)
+	v := cur.Value(e, nbr)
 	if v.IsNull() {
 		return ^uint64(0), true // NULLs sort last in every space
 	}
-	return OrdinalOfValue(b.p.g, k, v)
+	base := BindSortKey(b.p.g, k)
+	return base.OrdinalOf(v)
 }
 
 func (b *DeltaBuilder) insertRun(dir Direction, owner uint32, be bufEntry) {

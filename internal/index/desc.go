@@ -234,85 +234,158 @@ func codesForInsert(g *storage.Graph, levels []level, e storage.EdgeID, nbr stor
 	return out, true
 }
 
-// sortOrdinal computes the sort ordinal of an adjacency entry under one sort
-// key. Ordinals order entries identically to comparing the underlying
-// values, with NULLs last.
-func sortOrdinal(g *storage.Graph, k SortKey, e storage.EdgeID, nbr storage.VertexID) uint64 {
+// BoundSortKey is a sort key bound to one graph's columns, so reading an
+// adjacency entry's ordinal does no name or map lookup. Ordinals order
+// entries identically to comparing the underlying values, with NULLs last.
+//
+// Like pred.Compiled, a BoundSortKey reads the columns the graph held when
+// it was bound. Bind once per build, fold, splice or query pipeline,
+// against the graph that call reads, and never keep it on a published
+// index or a cached plan.
+type BoundSortKey struct {
+	g   *storage.Graph
+	src keySource
+	col *storage.Column
+}
+
+// keySource says where a bound sort key reads its ordinal from.
+type keySource uint8
+
+const (
+	keyNbrID keySource = iota
+	keyNbrLabel
+	keyNbrColumn
+	keyAdjID
+	keyAdjLabel
+	keyAdjColumn
+	// keyMissing names a property with no column: every entry is NULL.
+	keyMissing
+)
+
+// BindSortKey binds k to g's columns.
+func BindSortKey(g *storage.Graph, k SortKey) BoundSortKey {
+	b := BoundSortKey{g: g}
+	nbr := k.Var == pred.VarNbr
+	var ok bool
 	switch {
-	case k.Var == pred.VarNbr && k.Prop == pred.PropID:
-		return uint64(nbr)
-	case k.Var == pred.VarNbr && k.Prop == pred.PropLabel:
-		return uint64(g.VertexLabel(nbr))
-	case k.Var == pred.VarNbr:
-		if col, ok := g.VertexColumn(k.Prop); ok {
-			return col.SortOrdinal(int(nbr))
-		}
-		return ^uint64(0)
-	case k.Var == pred.VarAdj && k.Prop == pred.PropID:
-		return uint64(e)
-	case k.Var == pred.VarAdj && k.Prop == pred.PropLabel:
-		return uint64(g.EdgeLabel(e))
+	case k.Prop == pred.PropID && nbr:
+		b.src = keyNbrID
+	case k.Prop == pred.PropLabel && nbr:
+		b.src = keyNbrLabel
+	case nbr:
+		b.src = keyNbrColumn
+		b.col, ok = g.VertexColumn(k.Prop)
+	case k.Prop == pred.PropID:
+		b.src = keyAdjID
+	case k.Prop == pred.PropLabel:
+		b.src = keyAdjLabel
 	default:
-		if col, ok := g.EdgeColumn(k.Prop); ok {
-			return col.SortOrdinal(int(e))
-		}
-		return ^uint64(0)
+		b.src = keyAdjColumn
+		b.col, ok = g.EdgeColumn(k.Prop)
 	}
-}
-
-func sortOrdinals(g *storage.Graph, sorts []SortKey, e storage.EdgeID, nbr storage.VertexID) [2]uint64 {
-	var out [2]uint64
-	for i, s := range sorts {
-		out[i] = sortOrdinal(g, s, e, nbr)
+	if (b.src == keyNbrColumn || b.src == keyAdjColumn) && !ok {
+		b.src = keyMissing
 	}
-	return out
+	return b
 }
 
-// SortKeyOrdinal exposes ordinal computation for executor-side binary
-// searches inside sorted lists (e.g. locating a neighbour-label segment
-// under the Ds configuration).
-func SortKeyOrdinal(g *storage.Graph, k SortKey, e storage.EdgeID, nbr storage.VertexID) uint64 {
-	return sortOrdinal(g, k, e, nbr)
+// Ordinal returns the sort ordinal of the adjacency entry (edge e,
+// neighbour nbr).
+func (b *BoundSortKey) Ordinal(e storage.EdgeID, nbr storage.VertexID) uint64 {
+	switch b.src {
+	case keyNbrID:
+		return uint64(nbr)
+	case keyNbrLabel:
+		return uint64(b.g.VertexLabel(nbr))
+	case keyNbrColumn:
+		return b.col.SortOrdinal(int(nbr))
+	case keyAdjID:
+		return uint64(e)
+	case keyAdjLabel:
+		return uint64(b.g.EdgeLabel(e))
+	case keyAdjColumn:
+		return b.col.SortOrdinal(int(e))
+	}
+	return ^uint64(0)
 }
 
-// OrdinalOfValue maps a constant to the ordinal space of a sort key so that
-// equality segments can be located by binary search. ok is false when the
-// value cannot appear under that key.
-func OrdinalOfValue(g *storage.Graph, k SortKey, v storage.Value) (uint64, bool) {
+// Value returns the key's value for the adjacency entry (edge e, neighbour
+// nbr): what Ordinal orders.
+func (b *BoundSortKey) Value(e storage.EdgeID, nbr storage.VertexID) storage.Value {
+	switch b.src {
+	case keyNbrID:
+		return storage.Int(int64(nbr))
+	case keyNbrLabel:
+		return storage.Str(b.g.Catalog().VertexLabelName(b.g.VertexLabel(nbr)))
+	case keyNbrColumn:
+		return b.col.Get(int(nbr))
+	case keyAdjID:
+		return storage.Int(int64(e))
+	case keyAdjLabel:
+		return storage.Str(b.g.Catalog().EdgeLabelName(b.g.EdgeLabel(e)))
+	case keyAdjColumn:
+		return b.col.Get(int(e))
+	}
+	return storage.NullValue
+}
+
+// OrdinalOf maps a value to the key's ordinal space, so that equality
+// segments can be located by binary search. ok is false when the value
+// cannot appear under the key.
+func (b *BoundSortKey) OrdinalOf(v storage.Value) (uint64, bool) {
 	if v.IsNull() {
 		return ^uint64(0), true
 	}
-	switch {
-	case k.Prop == pred.PropID:
+	switch b.src {
+	case keyNbrID, keyAdjID:
 		if v.Kind != storage.KindInt {
 			return 0, false
 		}
 		return uint64(uint32(v.I)), true
-	case k.Prop == pred.PropLabel:
+	case keyNbrLabel, keyAdjLabel:
 		var id storage.LabelID
 		var ok bool
-		if k.Var == pred.VarNbr {
-			id, ok = g.Catalog().LookupVertexLabel(v.S)
+		if b.src == keyNbrLabel {
+			id, ok = b.g.Catalog().LookupVertexLabel(v.S)
 		} else {
-			id, ok = g.Catalog().LookupEdgeLabel(v.S)
+			id, ok = b.g.Catalog().LookupEdgeLabel(v.S)
 		}
 		if !ok {
 			return 0, false
 		}
 		return uint64(id), true
-	default:
-		var col *storage.Column
-		var ok bool
-		if k.Var == pred.VarNbr {
-			col, ok = g.VertexColumn(k.Prop)
-		} else {
-			col, ok = g.EdgeColumn(k.Prop)
-		}
-		if !ok {
-			return 0, false
-		}
-		return valueOrdinal(col, v)
+	case keyMissing:
+		return 0, false
 	}
+	return valueOrdinal(b.col, v)
+}
+
+// OrdinalOfValue maps a value to k's ordinal space in g (see
+// BoundSortKey.OrdinalOf), binding k for one lookup: for plan-time callers.
+func OrdinalOfValue(g *storage.Graph, k SortKey, v storage.Value) (uint64, bool) {
+	b := BindSortKey(g, k)
+	return b.OrdinalOf(v)
+}
+
+// boundSorts is a config's sort keys (at most two) bound to one graph.
+type boundSorts struct {
+	keys [2]BoundSortKey
+	n    int
+}
+
+func (b *boundSorts) bind(g *storage.Graph, sorts []SortKey) {
+	for i, k := range sorts {
+		b.keys[i] = BindSortKey(g, k)
+	}
+	b.n = len(sorts)
+}
+
+// ordinals returns the entry's ordinal under each sort key.
+func (b *boundSorts) ordinals(e storage.EdgeID, nbr storage.VertexID) (out [2]uint64) {
+	for i := 0; i < b.n; i++ {
+		out[i] = b.keys[i].Ordinal(e, nbr)
+	}
+	return out
 }
 
 func valueOrdinal(col *storage.Column, v storage.Value) (uint64, bool) {

@@ -127,6 +127,8 @@ func (ep *EdgePartitioned) build() error {
 	adjDir := ep.def.View.Dir.AdjDirection()
 	// Compiled once against g's columns; the workers share it read-only.
 	cp := pred.Compile(ep.def.View.Pred.ResolveNbr(adjDir == FW), g)
+	var sorts boundSorts
+	sorts.bind(g, ep.def.Cfg.Sorts)
 	numEdges := g.NumEdges()
 	c := p.dirCSR(adjDir)
 	nbrs, eids := c.Nbrs(), c.EIDs()
@@ -171,7 +173,7 @@ func (ep *EdgePartitioned) build() error {
 					res.entries = append(res.entries, csr.OffsetEntry{
 						Owner:  uint32(eb),
 						Offset: pos - rlo,
-						Sort:   sortOrdinals(g, ep.def.Cfg.Sorts, eadj, nbr),
+						Sort:   sorts.ordinals(eadj, nbr),
 					})
 					res.codes = append(res.codes, codeBuf...)
 				}

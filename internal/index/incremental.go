@@ -120,10 +120,12 @@ func patchPrimaryCSR(base *Primary, dir Direction, g2 *storage.Graph, d *Delta, 
 	d.runs[dir].each(func(_ uint32, r []bufEntry) { ins += len(r) })
 	d.dels[dir].each(func(_ uint32, r []delRec) { del += len(r) })
 	pt := csr.NewPatcher(old, numOwners, old.Len()+ins-del)
+	var sorts boundSorts
+	sorts.bind(base.g, base.cfg.Sorts)
 	prev := uint32(0)
 	for _, owner := range dirty {
 		pt.CopyRange(prev, owner)
-		rebuildPrimaryOwner(pt, base, dir, owner, d)
+		rebuildPrimaryOwner(pt, base, &sorts, dir, owner, d)
 		prev = owner + 1
 	}
 	pt.CopyRange(prev, uint32(numOwners))
@@ -133,8 +135,9 @@ func patchPrimaryCSR(base *Primary, dir Direction, g2 *storage.Graph, d *Delta, 
 // rebuildPrimaryOwner re-packs one dirty owner: the base entries (minus
 // pending deletes) interleaved with the delta's insert run in full index
 // order — exactly the walk Delta.Splice performs on the read path, here
-// emitting bucket codes for the patcher.
-func rebuildPrimaryOwner(pt *csr.Patcher, base *Primary, dir Direction, owner uint32, d *Delta) {
+// emitting bucket codes for the patcher. sorts is base's sort keys bound to
+// base's graph.
+func rebuildPrimaryOwner(pt *csr.Patcher, base *Primary, sorts *boundSorts, dir Direction, owner uint32, d *Delta) {
 	old := base.dirCSR(dir)
 	run := d.runs[dir].get(owner)
 	dels := d.dels[dir].get(owner)
@@ -157,7 +160,7 @@ func rebuildPrimaryOwner(pt *csr.Patcher, base *Primary, dir Direction, owner ui
 			cur := bufEntry{
 				nbr:   uint32(nb),
 				eid:   uint64(e),
-				sort:  sortOrdinals(base.g, base.cfg.Sorts, e, nb),
+				sort:  sorts.ordinals(e, nb),
 				codes: codes,
 			}
 			for ri < len(run) && bufLess(run[ri], cur) {
@@ -215,9 +218,13 @@ func splitSecEntries(es []secEntry) (offs, buckets []uint32) {
 // re-materialized (offsets shift even when the view's membership did not
 // change); everything else is copied at group granularity.
 func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, dirty dirtyOwners) (*VertexPartitioned, bool) {
-	nv := &VertexPartitioned{def: v.def, primary: np, dirs: make(map[Direction]*vpDir, len(v.dirs))}
+	nv := &VertexPartitioned{def: v.def, primary: np}
 	g := np.g
-	for dir, od := range v.dirs {
+	for di, od := range v.dirs {
+		if od == nil {
+			continue
+		}
+		dir := Direction(di)
 		var levels []level
 		if od.shared {
 			levels = np.levels
@@ -230,6 +237,8 @@ func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, d
 		}
 		c := np.dirCSR(dir)
 		cp := pred.Compile(v.def.View.Pred.ResolveNbr(dir == FW), g)
+		var sorts boundSorts
+		sorts.bind(g, v.def.Cfg.Sorts)
 		pt := csr.NewOffsetPatcher(od.lists, g.NumVertices())
 		var cb [8]uint16
 		for _, owner := range dirty[dir] {
@@ -246,7 +255,7 @@ func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, d
 				es = append(es, secEntry{
 					off:    pos - lo,
 					bucket: od.lists.BucketOf(codes),
-					sort:   sortOrdinals(g, v.def.Cfg.Sorts, e, nbr),
+					sort:   sorts.ordinals(e, nbr),
 				})
 			}
 			sortSecEntries(es)
@@ -295,6 +304,8 @@ func incrementalEdgePartitioned(ep *EdgePartitioned, np *Primary, d *Delta, dirt
 		boundDir = BW
 	}
 	cp := pred.Compile(ep.def.View.Pred.ResolveNbr(adjDir == FW), g)
+	var sorts boundSorts
+	sorts.bind(g, ep.def.Cfg.Sorts)
 	ownerVertex := func(eb storage.EdgeID) storage.VertexID {
 		if ep.def.View.Dir.BoundIsDst() {
 			return g.Dst(eb)
@@ -368,7 +379,7 @@ func incrementalEdgePartitioned(ep *EdgePartitioned, np *Primary, d *Delta, dirt
 			es = append(es, secEntry{
 				off:    pos - lo,
 				bucket: ep.lists.BucketOf(codes),
-				sort:   sortOrdinals(g, ep.def.Cfg.Sorts, eadj, nbr),
+				sort:   sorts.ordinals(eadj, nbr),
 			})
 		}
 		sortSecEntries(es)

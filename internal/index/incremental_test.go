@@ -192,7 +192,11 @@ func compareStores(t *testing.T, key string, inc, full *Store) {
 	}
 	for i, vp := range inc.vps {
 		fvp := full.vps[i]
-		for dir := range vp.dirs {
+		for di, d := range vp.dirs {
+			if d == nil {
+				continue
+			}
+			dir := Direction(di)
 			for v := 0; v < g.NumVertices(); v++ {
 				compareLists(t, fmt.Sprintf("%s: vp %q dir=%v v=%d", key, vp.Name(), dir, v),
 					vp.List(dir, storage.VertexID(v), nil),

@@ -43,6 +43,8 @@ func BuildPrimary(g *storage.Graph, cfg Config) (*Primary, error) {
 	fb.Reserve(g.NumLiveEdges())
 	bb.Reserve(g.NumLiveEdges())
 	var buf []uint16
+	var sorts boundSorts
+	sorts.bind(g, cfg.Sorts)
 	for i := 0; i < g.NumEdges(); i++ {
 		e := storage.EdgeID(i)
 		if g.EdgeDeleted(e) {
@@ -52,12 +54,12 @@ func BuildPrimary(g *storage.Graph, cfg Config) (*Primary, error) {
 		buf = codesFor(levels, e, dst, buf)
 		fb.Add(csr.Entry{
 			Owner: uint32(src), Nbr: uint32(dst), EID: uint64(e),
-			Sort: sortOrdinals(g, cfg.Sorts, e, dst),
+			Sort: sorts.ordinals(e, dst),
 		}, buf)
 		buf = codesFor(levels, e, src, buf)
 		bb.Add(csr.Entry{
 			Owner: uint32(dst), Nbr: uint32(src), EID: uint64(e),
-			Sort: sortOrdinals(g, cfg.Sorts, e, src),
+			Sort: sorts.ordinals(e, src),
 		}, buf)
 	}
 	p.fw = fb.Build()

@@ -31,7 +31,8 @@ type VPDef struct {
 type VertexPartitioned struct {
 	def     VPDef
 	primary *Primary
-	dirs    map[Direction]*vpDir
+	// dirs is indexed by Direction; a direction that was not indexed is nil.
+	dirs [2]*vpDir
 }
 
 type vpDir struct {
@@ -56,7 +57,7 @@ func BuildVertexPartitioned(p *Primary, def VPDef) (*VertexPartitioned, error) {
 			return nil, fmt.Errorf("index: 1-hop view %q cannot reference eb", def.View.Name)
 		}
 	}
-	v := &VertexPartitioned{def: def, primary: p, dirs: make(map[Direction]*vpDir)}
+	v := &VertexPartitioned{def: def, primary: p}
 	for _, dir := range def.Dirs {
 		d, err := v.buildDir(dir)
 		if err != nil {
@@ -89,6 +90,8 @@ func (v *VertexPartitioned) buildDir(dir Direction) (*vpDir, error) {
 	}
 
 	cp := pred.Compile(v.def.View.Pred.ResolveNbr(dir == FW), g)
+	var sorts boundSorts
+	sorts.bind(g, v.def.Cfg.Sorts)
 	c := p.dirCSR(dir)
 	nbrs, eids := c.Nbrs(), c.EIDs()
 	var codeBuf []uint16
@@ -104,7 +107,7 @@ func (v *VertexPartitioned) buildDir(dir Direction) (*vpDir, error) {
 			builder.Add(csr.OffsetEntry{
 				Owner:  owner,
 				Offset: pos - lo,
-				Sort:   sortOrdinals(g, v.def.Cfg.Sorts, e, nbr),
+				Sort:   sorts.ordinals(e, nbr),
 			}, codeBuf)
 		}
 	}
@@ -122,14 +125,13 @@ func (v *VertexPartitioned) Def() VPDef { return v.def }
 
 // HasDirection reports whether dir was indexed.
 func (v *VertexPartitioned) HasDirection(dir Direction) bool {
-	_, ok := v.dirs[dir]
-	return ok
+	return v.dirs[dir] != nil
 }
 
 // SharedLevels reports whether dir shares the primary's partition levels.
 func (v *VertexPartitioned) SharedLevels(dir Direction) bool {
-	d, ok := v.dirs[dir]
-	return ok && d.shared
+	d := v.dirs[dir]
+	return d != nil && d.shared
 }
 
 // LevelCards returns the cardinality of each partitioning level of dir.
@@ -193,8 +195,11 @@ func (v *VertexPartitioned) EffectiveSorts() []SortKey {
 
 // rebuild reconstructs the offset lists after the primary was rebuilt.
 func (v *VertexPartitioned) rebuild() error {
-	for dir := range v.dirs {
-		d, err := v.buildDir(dir)
+	for dir, od := range v.dirs {
+		if od == nil {
+			continue
+		}
+		d, err := v.buildDir(Direction(dir))
 		if err != nil {
 			return err
 		}
@@ -208,7 +213,9 @@ func (v *VertexPartitioned) rebuild() error {
 func (v *VertexPartitioned) NumIndexedEdges() int64 {
 	var n int64
 	for _, d := range v.dirs {
-		n += int64(d.lists.Len())
+		if d != nil {
+			n += int64(d.lists.Len())
+		}
 	}
 	return n
 }
@@ -218,7 +225,9 @@ func (v *VertexPartitioned) NumIndexedEdges() int64 {
 func (v *VertexPartitioned) MemoryBytes() int64 {
 	var b int64
 	for _, d := range v.dirs {
-		b += d.lists.MemoryBytes()
+		if d != nil {
+			b += d.lists.MemoryBytes()
+		}
 	}
 	return b
 }

@@ -425,7 +425,7 @@ func (pl *planner) compileQPred(p query.Pred) exec.CompiledTerm {
 		t.Right = exec.ConstOperand(p.Const)
 	} else {
 		t.Right = pl.operandFor(p.RightVar, p.RightProp)
-		t.Right.Shift = p.RightShift
+		t.Shift = p.RightShift
 	}
 	return t
 }
@@ -739,7 +739,9 @@ func (pl *planner) emptyState(st *state) *state {
 	for i := range ns.applied {
 		ns.applied[i] = true
 	}
-	f := exec.CompiledTerm{Left: exec.ConstOperand(storage.Int(1)), Op: pred.EQ, Right: exec.ConstOperand(storage.Int(0))}
+	// No vertex ID is negative, so this FILTER rejects every tuple (and, like
+	// any term, counts one predicate evaluation per tuple it sees).
+	f := exec.CompiledTerm{Left: exec.VertexOperand(0, pred.PropID), Op: pred.LT, Right: exec.ConstOperand(storage.Int(0))}
 	ns.ops = append(ns.ops, &exec.FilterOp{Terms: []exec.CompiledTerm{f}})
 	ns.card = 0
 	return ns

@@ -3,7 +3,8 @@
 // its endpoint vertices, and (for 2-hop views) the bound edge. A predicate
 // is evaluated by compiling it against one graph's property columns
 // (Compile), which binds every operand once so per-entry evaluation does no
-// name lookup. The package also implements the two predicate-subsumption
+// name lookup. The same compiler serves query terms, whose operands name
+// the slots of a query binding (SlotRef). The package also implements the two predicate-subsumption
 // checks the paper's optimizer uses to decide whether an index can answer a
 // query extension (Section IV-A): conjunctive subsumption and range
 // subsumption.
@@ -33,6 +34,11 @@ const (
 	VarDst
 	// VarBound is the bound edge of a 2-hop view ("eb").
 	VarBound
+	// VarVertexSlot is vertex slot Ref.Slot of a query binding: a query
+	// term's operand, compiled once per query pipeline.
+	VarVertexSlot
+	// VarEdgeSlot is edge slot Ref.Slot of a query binding.
+	VarEdgeSlot
 )
 
 // String implements fmt.Stringer.
@@ -48,6 +54,10 @@ func (v Var) String() string {
 		return "vd"
 	case VarBound:
 		return "eb"
+	case VarVertexSlot:
+		return "v"
+	case VarEdgeSlot:
+		return "e"
 	default:
 		return "const"
 	}
@@ -110,10 +120,26 @@ func (o Op) Flip() Op {
 type Ref struct {
 	Var  Var
 	Prop string
+	// Slot is the binding slot of a VarVertexSlot or VarEdgeSlot reference.
+	Slot int
+}
+
+// SlotRef references a property of a query binding's vertex slot, or of
+// its edge slot when edge is set.
+func SlotRef(edge bool, slot int, prop string) Ref {
+	if edge {
+		return Ref{Var: VarEdgeSlot, Prop: prop, Slot: slot}
+	}
+	return Ref{Var: VarVertexSlot, Prop: prop, Slot: slot}
 }
 
 // String implements fmt.Stringer.
-func (r Ref) String() string { return r.Var.String() + "." + r.Prop }
+func (r Ref) String() string {
+	if r.Var == VarVertexSlot || r.Var == VarEdgeSlot {
+		return fmt.Sprintf("%s%d.%s", r.Var, r.Slot, r.Prop)
+	}
+	return r.Var.String() + "." + r.Prop
+}
 
 // Term is a single comparison. Either Right (a variable reference) or Const
 // is the right operand; Right.Var == VarNone selects Const. Shift adds a
@@ -129,18 +155,18 @@ type Term struct {
 
 // ConstTerm builds a variable-vs-constant comparison.
 func ConstTerm(v Var, prop string, op Op, c storage.Value) Term {
-	return Term{Left: Ref{v, prop}, Op: op, Const: c}
+	return Term{Left: Ref{Var: v, Prop: prop}, Op: op, Const: c}
 }
 
 // VarTerm builds a variable-vs-variable comparison.
 func VarTerm(lv Var, lprop string, op Op, rv Var, rprop string) Term {
-	return Term{Left: Ref{lv, lprop}, Op: op, Right: Ref{rv, rprop}}
+	return Term{Left: Ref{Var: lv, Prop: lprop}, Op: op, Right: Ref{Var: rv, Prop: rprop}}
 }
 
 // VarTermShift builds a banded variable-vs-variable comparison:
 // left op (right + shift).
 func VarTermShift(lv Var, lprop string, op Op, rv Var, rprop string, shift int64) Term {
-	return Term{Left: Ref{lv, lprop}, Op: op, Right: Ref{rv, rprop}, Shift: shift}
+	return Term{Left: Ref{Var: lv, Prop: lprop}, Op: op, Right: Ref{Var: rv, Prop: rprop}, Shift: shift}
 }
 
 // IsConst reports whether the right operand is a constant.

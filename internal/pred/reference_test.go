@@ -13,13 +13,16 @@ import (
 // Compare. Compiled evaluation must agree with it on every entry.
 
 // EdgeCtx supplies the entity bindings needed to evaluate a predicate
-// against one adjacency entry.
+// against one adjacency entry, or against the slots of a query binding.
 type EdgeCtx struct {
 	G   *storage.Graph
 	Adj storage.EdgeID
 	// Bound is the bound edge for 2-hop views; HasBound gates it.
 	Bound    storage.EdgeID
 	HasBound bool
+	// V and E are a query binding's vertex and edge slots.
+	V []storage.VertexID
+	E []storage.EdgeID
 }
 
 // value resolves a variable reference.
@@ -38,6 +41,10 @@ func (c EdgeCtx) value(r Ref) storage.Value {
 		return vertexValue(c.G, c.G.Dst(c.Adj), r.Prop)
 	case VarNbr:
 		panic("pred: unresolved vnbr reference; resolve direction first")
+	case VarVertexSlot:
+		return vertexValue(c.G, c.V[r.Slot], r.Prop)
+	case VarEdgeSlot:
+		return edgeValue(c.G, c.E[r.Slot], r.Prop)
 	}
 	return storage.NullValue
 }
@@ -66,12 +73,19 @@ func vertexValue(g *storage.Graph, v storage.VertexID, prop string) storage.Valu
 
 // refEval evaluates p under ctx with the interpreter.
 func refEval(p Predicate, ctx EdgeCtx) bool {
-	for _, t := range p.Terms {
+	ok, _ := refEvalCounted(p, ctx)
+	return ok
+}
+
+// refEvalCounted is refEval that also counts the terms evaluated: they run
+// in order and stop at the first false one, which counts.
+func refEvalCounted(p Predicate, ctx EdgeCtx) (bool, int64) {
+	for i, t := range p.Terms {
 		if !evalTerm(t, ctx) {
-			return false
+			return false, int64(i + 1)
 		}
 	}
-	return true
+	return true, int64(len(p.Terms))
 }
 
 func evalTerm(t Term, ctx EdgeCtx) bool {
@@ -213,6 +227,105 @@ func randTerm(rng *rand.Rand, nbr bool) Term {
 	return t
 }
 
+// Query binding shape of the slot-operand parity check.
+const paritySlots = 3
+
+// randSlotRef draws a reference to a query binding's vertex or edge slot.
+func randSlotRef(rng *rand.Rand) Ref {
+	props := []string{"i", "f", "s", "b", "big", "x", "missing", PropLabel, PropID}
+	return SlotRef(rng.Intn(2) == 0, rng.Intn(paritySlots), props[rng.Intn(len(props))])
+}
+
+// randSlotTerm draws a query term over binding slots: a constant or a slot
+// on the right, with a shift on a variable right operand.
+func randSlotTerm(rng *rand.Rand) Term {
+	t := Term{Left: randSlotRef(rng), Op: Op(rng.Intn(6))}
+	if rng.Intn(3) == 0 {
+		t.Const = randConst(rng)
+		return t
+	}
+	t.Right = randSlotRef(rng)
+	shifts := []int64{0, 0, 0, 1, -1, 3, big, -big}
+	t.Shift = shifts[rng.Intn(len(shifts))]
+	return t
+}
+
+// slotPairs are the operand pairs the slot-operand parity check runs under
+// every operator: IDs, labels of one and of both entity kinds, label and
+// string constants present and absent, missing columns, same-column and
+// cross-column strings, int against int, float and bool, and shifts.
+func slotPairs() []Term {
+	v := func(slot int, prop string) Ref { return SlotRef(false, slot, prop) }
+	e := func(slot int, prop string) Ref { return SlotRef(true, slot, prop) }
+	vars := [][2]Ref{
+		{v(0, PropID), v(1, PropID)},
+		{e(0, PropID), v(1, "i")},
+		{v(0, PropLabel), v(1, PropLabel)},
+		{e(0, PropLabel), e(1, PropLabel)},
+		{v(0, PropLabel), e(1, PropLabel)},
+		{v(0, "s"), v(1, "s")},
+		{e(0, "s"), e(1, "s")},
+		{v(0, "s"), e(1, "s")},
+		{v(0, "s"), v(1, "x")},
+		{v(0, "i"), v(1, "i")},
+		{e(0, "i"), v(1, "f")},
+		{v(0, "f"), e(1, "i")},
+		{v(0, "big"), e(1, "big")},
+		{v(0, "i"), v(1, "b")},
+		{v(0, "missing"), v(1, "i")},
+		{v(0, "i"), e(1, "missing")},
+	}
+	consts := []struct {
+		r Ref
+		c storage.Value
+	}{
+		{v(0, PropLabel), storage.Str("A")},
+		{e(0, PropLabel), storage.Str("L1")},
+		{e(0, PropLabel), storage.Str("nope")},
+		{v(0, PropLabel), storage.Int(1)},
+		{v(0, "s"), storage.Str("b")},
+		{v(0, "s"), storage.Str("nope")},
+		{e(0, "s"), storage.Int(2)},
+		{v(0, "i"), storage.Float(0.5)},
+		{e(0, "f"), storage.Int(1)},
+		{v(0, "missing"), storage.Int(1)},
+		{v(0, "i"), storage.NullValue},
+		{e(0, PropID), storage.Int(3)},
+	}
+	var out []Term
+	for op := EQ; op <= GE; op++ {
+		for _, p := range vars {
+			for _, shift := range []int64{0, 2} {
+				out = append(out, Term{Left: p[0], Op: op, Right: p[1], Shift: shift})
+			}
+		}
+		for _, c := range consts {
+			out = append(out, Term{Left: c.r, Op: op, Const: c.c})
+		}
+	}
+	return out
+}
+
+// checkSlots compares EvalBinding with the interpreter, verdict and
+// evaluation count, on random slot assignments of g.
+func checkSlots(t *testing.T, rng *rand.Rand, g *storage.Graph, p Predicate) {
+	t.Helper()
+	c := Compile(p, g)
+	ctx := EdgeCtx{G: g, V: make([]storage.VertexID, paritySlots), E: make([]storage.EdgeID, paritySlots)}
+	for k := 0; k < 40; k++ {
+		for s := 0; s < paritySlots; s++ {
+			ctx.V[s] = storage.VertexID(rng.Intn(g.NumVertices()))
+			ctx.E[s] = storage.EdgeID(rng.Intn(g.NumEdges()))
+		}
+		want, wantN := refEvalCounted(p, ctx)
+		got, gotN := c.EvalBinding(ctx.V, ctx.E)
+		if got != want || gotN != wantN {
+			t.Fatalf("%v on v=%v e=%v: compiled (%v, %d evals), interpreter (%v, %d evals)",
+				p, ctx.V, ctx.E, got, gotN, want, wantN)
+		}
+	}
+}
+
 // evalOrPanic runs f and reports whether it panicked.
 func evalOrPanic(f func() bool) (res, panicked bool) {
 	defer func() {
@@ -228,7 +341,10 @@ func evalOrPanic(f func() bool) (res, panicked bool) {
 // random graph: int, float, string and bool columns, NULL cells, missing
 // properties, label and ID pseudo-properties, shifts on ints and floats,
 // ints beyond 2^53, NULL constants, all six operators, and unresolved vnbr
-// references, which must panic exactly when the interpreter does.
+// references, which must panic exactly when the interpreter does. Query
+// terms over binding slots (EvalBinding) must agree too, in their verdict
+// and in how many terms they evaluate: every operand pair of slotPairs
+// under every operator, then random conjunctions.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	preds := 300
 	if testing.Short() {
@@ -260,6 +376,16 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 					}
 				}
 			}
+		}
+		for _, term := range slotPairs() {
+			checkSlots(t, rng, g, Predicate{Terms: []Term{term}})
+		}
+		for n := 0; n < preds; n++ {
+			var p Predicate
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				p.Terms = append(p.Terms, randSlotTerm(rng))
+			}
+			checkSlots(t, rng, g, p)
 		}
 	}
 }
