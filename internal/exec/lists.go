@@ -27,7 +27,8 @@ const (
 //
 // DynEq, when set, narrows the segment at runtime to entries whose sort-key
 // value equals a bound variable's property (e.g. a2.city = a1.city with a1
-// already matched); the static bounds are ignored in that case.
+// already matched); the static bounds are ignored in that case. DynEq is a
+// variable operand, never a constant: constants become static bounds.
 //
 // Like Operand, a Segment names its key and operand; each pipeline binds
 // them against its runtime's graph into the list position's slot
@@ -172,11 +173,8 @@ type boundSegment struct {
 	// that reads the sort key's own vertex property: its ordinal is the
 	// key's ordinal of the bound vertex dynSlot, with no Value in between.
 	dyn     pred.Operand
-	isDyn   bool
 	sameKey bool
 	dynSlot int
-	// empty marks a constant DynEq that no entry can match.
-	empty bool
 }
 
 // bind binds seg (nil for an unsegmented list) against g.
@@ -190,25 +188,11 @@ func (s *boundSegment) bind(g *storage.Graph, seg *Segment) {
 	d := seg.DynEq
 	switch {
 	case d == nil:
-	case d.IsConst:
-		ord, ok := s.ordinalOf(d.Const)
-		s.lo, s.hi, s.hasLo, s.hasHi, s.empty = ord, ord+1, true, true, !ok
 	case !d.IsEdge && seg.Key.Var == pred.VarNbr && d.Prop == seg.Key.Prop:
-		s.isDyn, s.sameKey, s.dynSlot = true, true, d.Slot
+		s.sameKey, s.dynSlot = true, d.Slot
 	default:
-		s.isDyn, s.dyn = true, pred.BindOperand(g, d.ref())
+		s.dyn = pred.BindOperand(g, d.ref())
 	}
-}
-
-// ordinalOf maps a DynEq value to the key's ordinal space; ok is false when
-// no entry can match it: NULL, a value the key cannot hold, or the NULL
-// ordinal itself (whose ord+1 would wrap).
-func (s *boundSegment) ordinalOf(v storage.Value) (uint64, bool) {
-	if v.IsNull() {
-		return 0, false
-	}
-	ord, ok := s.key.OrdinalOf(v)
-	return ord, ok && ord != ^uint64(0)
 }
 
 // narrow narrows l in place to the [lo, hi) ordinal range of the first sort
@@ -217,24 +201,26 @@ func (s *boundSegment) narrow(b *Binding, l *index.AdjList) {
 	n := l.NumEntries()
 	segLo, segHi := s.lo, s.hi
 	hasLo, hasHi := s.hasLo, s.hasHi
-	if s.isDyn {
+	if s.src.DynEq != nil {
+		// NULL matches nothing, nor does a value the key cannot hold. The
+		// NULL ordinal ^0 is refused too, since ord+1 would wrap: a
+		// non-NULL value at ^0 (the largest int) also matched nothing when
+		// the wrapped bounds narrowed the list.
 		var ord uint64
 		ok := true
 		if s.sameKey {
 			ord = s.key.Ordinal(0, b.V[s.dynSlot])
-			ok = ord != ^uint64(0) // NULL
+		} else if v := s.dyn.ValueIn(b.V, b.E); v.IsNull() {
+			ok = false
 		} else {
-			ord, ok = s.ordinalOf(s.dyn.ValueIn(b.V, b.E))
+			ord, ok = s.key.OrdinalOf(v)
 		}
-		if !ok {
+		if !ok || ord == ^uint64(0) {
 			l.Narrow(0, 0)
 			return
 		}
 		segLo, segHi = ord, ord+1
 		hasLo, hasHi = true, true
-	} else if s.empty {
-		l.Narrow(0, 0)
-		return
 	}
 	lo := 0
 	if hasLo {

@@ -418,13 +418,16 @@ func (b *DeltaBuilder) baseSortOrdinal(k SortKey, e storage.EdgeID, nbr storage.
 		}
 		return uint64(b.g.EdgeLabel(e)), true
 	}
-	cur := BindSortKey(b.g, k)
-	v := cur.Value(e, nbr)
+	var v storage.Value
+	if k.Var == pred.VarNbr {
+		v = b.g.VertexProp(nbr, k.Prop)
+	} else {
+		v = b.g.EdgeProp(e, k.Prop)
+	}
 	if v.IsNull() {
 		return ^uint64(0), true // NULLs sort last in every space
 	}
-	base := BindSortKey(b.p.g, k)
-	return base.OrdinalOf(v)
+	return OrdinalOfValue(b.p.g, k, v)
 }
 
 func (b *DeltaBuilder) insertRun(dir Direction, owner uint32, be bufEntry) {

@@ -309,26 +309,6 @@ func (b *BoundSortKey) Ordinal(e storage.EdgeID, nbr storage.VertexID) uint64 {
 	return ^uint64(0)
 }
 
-// Value returns the key's value for the adjacency entry (edge e, neighbour
-// nbr): what Ordinal orders.
-func (b *BoundSortKey) Value(e storage.EdgeID, nbr storage.VertexID) storage.Value {
-	switch b.src {
-	case keyNbrID:
-		return storage.Int(int64(nbr))
-	case keyNbrLabel:
-		return storage.Str(b.g.Catalog().VertexLabelName(b.g.VertexLabel(nbr)))
-	case keyNbrColumn:
-		return b.col.Get(int(nbr))
-	case keyAdjID:
-		return storage.Int(int64(e))
-	case keyAdjLabel:
-		return storage.Str(b.g.Catalog().EdgeLabelName(b.g.EdgeLabel(e)))
-	case keyAdjColumn:
-		return b.col.Get(int(e))
-	}
-	return storage.NullValue
-}
-
 // OrdinalOf maps a value to the key's ordinal space, so that equality
 // segments can be located by binary search. ok is false when the value
 // cannot appear under the key.

@@ -1,6 +1,10 @@
 package pred
 
-import "github.com/aplusdb/aplus/internal/storage"
+import (
+	"cmp"
+
+	"github.com/aplusdb/aplus/internal/storage"
+)
 
 // Compiled is a predicate bound to one graph. Compile resolves every operand
 // once — to a property column, the ID or label pseudo-property, or a
@@ -308,7 +312,7 @@ func (t *compiledTerm) holds(g *storage.Graph, en *env) bool {
 			return false
 		}
 		d := t.left.col.Dict()
-		return t.accept[compareRank(d.Rank(l), d.Rank(r))+1]
+		return t.accept[cmp.Compare(d.Rank(l), d.Rank(r))+1]
 	case kindLabel:
 		l, ok := t.left.label(g, en)
 		if !ok {
@@ -418,17 +422,6 @@ func (o *operand) value(g *storage.Graph, en *env) storage.Value {
 // compareFloat orders two numbers as storage.Value.Compare orders numeric
 // values.
 func compareFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// compareRank orders two dictionary ranks.
-func compareRank(a, b uint32) int {
 	switch {
 	case a < b:
 		return -1
