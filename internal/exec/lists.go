@@ -203,9 +203,9 @@ func (s *boundSegment) narrow(b *Binding, l *index.AdjList) {
 	hasLo, hasHi := s.hasLo, s.hasHi
 	if s.src.DynEq != nil {
 		// NULL matches nothing, nor does a value the key cannot hold. The
-		// NULL ordinal ^0 is refused too, since ord+1 would wrap: a
-		// non-NULL value at ^0 (the largest int) also matched nothing when
-		// the wrapped bounds narrowed the list.
+		// NULL ordinal ^0 is refused too, and with it a non-NULL value
+		// whose ordinal is ^0 (the largest int): [ord, ord+1) cannot hold
+		// it, as ord+1 wraps.
 		var ord uint64
 		ok := true
 		if s.sameKey {
