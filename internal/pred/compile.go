@@ -1,21 +1,16 @@
 package pred
 
-import (
-	"cmp"
-
-	"github.com/aplusdb/aplus/internal/storage"
-)
+import "github.com/aplusdb/aplus/internal/storage"
 
 // Compiled is a predicate bound to one graph. Compile resolves every operand
 // once — to a property column, the ID or label pseudo-property, or a
 // constant — so evaluating a term does no name or map lookup. View
 // predicates read an adjacency entry (Eval); query terms read the slots of
 // a query binding (EvalBinding). Both run the same compiled terms:
-// int-against-int terms read their operands unboxed, two operands on one
-// string column compare dictionary codes (EQ, NE) or dictionary ranks, a
-// string column against a string constant compares codes (EQ, NE), and a
-// label against a constant or a label of the same entity kind compares
-// label IDs (EQ, NE).
+// int-against-int terms read their operands unboxed, a string column
+// against a string constant or against itself compares dictionary codes
+// (EQ, NE), and a label against a string constant compares label IDs
+// (EQ, NE). Every other term compares Values.
 //
 // A Compiled reads the columns the graph held when it was compiled. Columns
 // are copied on write per snapshot, so compile once per build, fold or
@@ -93,10 +88,8 @@ const (
 	// string column, or a string column against the constant whose code
 	// (if the column has it) is in code/hasCode.
 	kindCode
-	// kindRank orders two operands on one string column by Dict.Rank.
-	kindRank
-	// kindLabel compares label IDs for EQ/NE: a label against a constant
-	// label (code/hasCode) or against a label of the same entity kind.
+	// kindLabel compares label IDs for EQ/NE: a label against the
+	// constant label whose ID (if the catalog has it) is in code/hasCode.
 	kindLabel
 	// kindFalse has a statically NULL operand.
 	kindFalse
@@ -108,12 +101,12 @@ type compiledTerm struct {
 	kind termKind
 	op   Op
 	// accept[c+1] says whether the three-way comparison result c
-	// satisfies op, for kindInt and kindRank.
+	// satisfies op, for kindInt.
 	accept      [3]bool
 	shift       int64
 	left, right operand
 	// code is the right constant's dictionary code or label ID when
-	// hasCode, for kindCode and kindLabel against a constant.
+	// hasCode, for kindCode against a constant and kindLabel.
 	code    uint32
 	hasCode bool
 }
@@ -155,14 +148,10 @@ func compileTerm(t Term, g *storage.Graph) compiledTerm {
 		ct.kind = kindFalse
 	case l.integer() && r.integer():
 		ct.kind = kindInt
-	case l.stringColumn() && r.src == srcColumn && r.col == l.col:
-		// One column, one dictionary: codes are equal iff the strings are,
-		// and ranks order as the strings do. A shift leaves strings as
-		// they are.
-		ct.kind = kindRank
-		if eqne {
-			ct.kind = kindCode
-		}
+	case eqne && l.stringColumn() && r.src == srcColumn && r.col == l.col:
+		// One column, one dictionary: codes are equal iff the strings are.
+		// A shift leaves strings as they are.
+		ct.kind = kindCode
 	case eqne && l.stringColumn() && r.src == srcConst && r.c.Kind == storage.KindString:
 		ct.kind = kindCode
 		ct.code, ct.hasCode = l.col.Dict().Lookup(r.c.S)
@@ -175,8 +164,6 @@ func compileTerm(t Term, g *storage.Graph) compiledTerm {
 			id, ct.hasCode = g.Catalog().LookupVertexLabel(r.c.S)
 		}
 		ct.code = uint32(id)
-	case eqne && l.src == srcLabel && r.src == srcLabel && l.edge() == r.edge():
-		ct.kind = kindLabel
 	default:
 		ct.kind = kindValue
 	}
@@ -302,31 +289,12 @@ func (t *compiledTerm) holds(g *storage.Graph, en *env) bool {
 			eq = l == r
 		}
 		return eq == (t.op == EQ)
-	case kindRank:
-		l, ok := t.left.code(g, en)
-		if !ok {
-			return false
-		}
-		r, ok := t.right.code(g, en)
-		if !ok {
-			return false
-		}
-		d := t.left.col.Dict()
-		return t.accept[cmp.Compare(d.Rank(l), d.Rank(r))+1]
 	case kindLabel:
 		l, ok := t.left.label(g, en)
 		if !ok {
 			return false
 		}
-		eq := t.hasCode && uint32(l) == t.code
-		if t.right.src == srcLabel {
-			var r storage.LabelID
-			if r, ok = t.right.label(g, en); !ok {
-				return false
-			}
-			eq = l == r
-		}
-		return eq == (t.op == EQ)
+		return (t.hasCode && uint32(l) == t.code) == (t.op == EQ)
 	case kindValue:
 		l := t.left.value(g, en)
 		r := ApplyShift(t.right.value(g, en), t.shift)
