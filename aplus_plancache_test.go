@@ -171,9 +171,11 @@ func pcTriple(st Stats) [3]int64 {
 // TestCachedPlanBindsPerSnapshot runs each cached plan text on two
 // snapshots of one store with no fold between them. The second snapshot
 // changes the score and city columns (a new vertex, a new city string) and
-// adds a rank column. Each run must answer for its own snapshot, which
-// holds only if a plan's terms are bound to columns per pipeline, against
-// the snapshot it reads, and never on the cached plan.
+// adds a rank column; a second store's vertex-only commit interns a city
+// that shifts the ranks a sorted segment's bound maps to. Each run must
+// answer for its own snapshot, which holds only if a plan's terms and
+// segment bounds are bound per pipeline, against the snapshot it reads,
+// and never on the cached plan.
 func TestCachedPlanBindsPerSnapshot(t *testing.T) {
 	db := New()
 	const n = 8
@@ -247,5 +249,59 @@ func TestCachedPlanBindsPerSnapshot(t *testing.T) {
 	st3 := db.Stats()
 	if st3.PlanCacheMisses != st2.PlanCacheMisses {
 		t.Fatalf("the second snapshot must reuse the cached plans: misses %d -> %d", st2.PlanCacheMisses, st3.PlanCacheMisses)
+	}
+
+	// A sorted segment's constant bound: under a primary sorted on
+	// vnbr.city the planner serves b.city = 'M' by binary search. A
+	// vertex-only commit that interns a smaller city shifts every city's
+	// rank in the new snapshot without a fold, so the cached plan must
+	// map 'M' to an ordinal per pipeline.
+	sdb := New()
+	for _, c := range []string{"B", "M", "M", "Z"} {
+		if _, err := sdb.AddVertex("P", Props{"city": c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if i != j && (i == 0 || j == 0) {
+				if _, err := sdb.AddEdge(VertexID(i), VertexID(j), "K", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := sdb.Exec("RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label SORT BY vnbr.city"); err != nil {
+		t.Fatal(err)
+	}
+	const segQ = "MATCH a-[e]->b WHERE b.city = 'M'"
+	if plan, err := sdb.Explain(segQ); err != nil {
+		t.Fatal(err)
+	} else if !strings.Contains(plan, "/seg(") {
+		t.Fatalf("%q must read a sorted segment:\n%s", segQ, plan)
+	}
+	segCount := func(phase string) {
+		t.Helper()
+		got, err := sdb.Count(segQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 2 {
+			t.Fatalf("%s: %q counted %d, want 2", phase, segQ, got)
+		}
+	}
+	segCount("first snapshot")
+	s1 := sdb.Stats()
+	if _, err := sdb.AddVertex("P", Props{"city": "A"}); err != nil {
+		t.Fatal(err)
+	}
+	segCount("after a smaller city")
+	s2 := sdb.Stats()
+	if s2.Epoch == s1.Epoch || s2.FoldsTotal != s1.FoldsTotal {
+		t.Fatalf("the vertex must publish a new snapshot without a fold: epoch %d -> %d, folds %d -> %d",
+			s1.Epoch, s2.Epoch, s1.FoldsTotal, s2.FoldsTotal)
+	}
+	if s2.PlanCacheMisses != s1.PlanCacheMisses {
+		t.Fatalf("the second snapshot must reuse the cached plan: misses %d -> %d", s1.PlanCacheMisses, s2.PlanCacheMisses)
 	}
 }

@@ -249,17 +249,13 @@ func TestZeroAllocSegmentFetch(t *testing.T) {
 	}
 	rt := NewRuntime(s)
 	key := index.SortKey{Var: pred.VarAdj, Prop: storage.PropDate}
-	hi, ok := index.OrdinalOfValue(rt.G, key, storage.Int(10))
-	if !ok {
-		t.Fatal("ordinal")
-	}
 	plan := &Plan{
 		NumV: 2, NumE: 1,
 		Ops: []Op{
 			&ScanVertexOp{Slot: 0},
 			&ExtendIntersectOp{TargetSlot: 1, Lists: []ListRef{{
 				Kind: ListVP, VP: vp, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0,
-				Seg:    &Segment{Key: key, Hi: hi + 1, HasHi: true},
+				Seg:    &Segment{Key: key, Bounds: []Bound{{Op: pred.LE, Value: storage.Int(10)}}},
 				Expand: ExpandChoices(nil, vp.LevelCards(index.FW)),
 			}}},
 		},

@@ -132,13 +132,9 @@ func TestSegmentFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, ok := index.OrdinalOfValue(rt.G, index.SortKey{Var: pred.VarAdj, Prop: storage.PropDate}, storage.Int(10))
-	if !ok {
-		t.Fatal("ordinal")
-	}
 	ref := ListRef{
 		Kind: ListVP, VP: vp, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0,
-		Seg:    &Segment{Key: index.SortKey{Var: pred.VarAdj, Prop: storage.PropDate}, Hi: hi + 1, HasHi: true},
+		Seg:    &Segment{Key: index.SortKey{Var: pred.VarAdj, Prop: storage.PropDate}, Bounds: []Bound{{Op: pred.LE, Value: storage.Int(10)}}},
 		Expand: ExpandChoices(nil, vp.LevelCards(index.FW)),
 	}
 	// Execute through an EXTEND so bucket choices are honoured.

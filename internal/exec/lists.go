@@ -21,24 +21,32 @@ const (
 )
 
 // Segment restricts a fetched list to the entries whose first sort-key
-// ordinal lies in [Lo, Hi), located by binary search — the paper's
-// "binary searches inside lists" access path (e.g. a neighbour-label
-// segment under Ds, or a time-prefix under VPt).
+// value satisfies every one of Bounds, located by binary search — the
+// paper's "binary searches inside lists" access path (e.g. a
+// neighbour-label segment under Ds, or a time-prefix under VPt).
 //
 // DynEq, when set, narrows the segment at runtime to entries whose sort-key
 // value equals a bound variable's property (e.g. a2.city = a1.city with a1
-// already matched); the static bounds are ignored in that case. DynEq is a
-// variable operand, never a constant: constants become static bounds.
+// already matched); Bounds is empty in that case. DynEq is a variable
+// operand, never a constant: constants become Bounds.
 //
-// Like Operand, a Segment names its key and operand; each pipeline binds
-// them against its runtime's graph into the list position's slot
-// (boundSegment), so a probe reads columns by position.
+// Like Operand, a Segment names its key, bound values and operand; each
+// pipeline binds them against its runtime's graph into the list position's
+// slot (boundSegment), so a probe reads columns by position. Bounds keep
+// their values, not ordinals: a cached plan serves every snapshot of its
+// store, and a snapshot that interned a new string ranks the key's strings
+// differently from the graph the plan was built on.
 type Segment struct {
 	Key    index.SortKey
-	Lo, Hi uint64
-	HasLo  bool
-	HasHi  bool
+	Bounds []Bound
 	DynEq  *Operand
+}
+
+// Bound is one constant term on a segment's sort key: key Op Value, with Op
+// one of EQ, LT, LE, GT, GE.
+type Bound struct {
+	Op    pred.Op
+	Value storage.Value
 }
 
 // ListRef describes one adjacency list access in a plan: which index, which
@@ -162,8 +170,9 @@ func (r *ListRef) FetchLen(rt *Runtime, sc *opScratch, b *Binding) int {
 }
 
 // boundSegment is a Segment bound against one pipeline's graph: the sort
-// key reads ordinals by position, and a dynamic equality reads its operand
-// by position. It lives in the list position's slot.
+// key reads ordinals by position, the bounds are ordinals [lo, hi) in the
+// graph's ordinal space, and a dynamic equality reads its operand by
+// position. It lives in the list position's slot.
 type boundSegment struct {
 	src          *Segment
 	key          index.BoundSortKey
@@ -184,7 +193,30 @@ func (s *boundSegment) bind(g *storage.Graph, seg *Segment) {
 		return
 	}
 	s.key = index.BindSortKey(g, seg.Key)
-	s.lo, s.hi, s.hasLo, s.hasHi = seg.Lo, seg.Hi, seg.HasLo, seg.HasHi
+	for _, bd := range seg.Bounds {
+		// The planner keeps only bounds the store's graph can map, and a
+		// snapshot's dictionaries and label catalog only grow from it; a
+		// value the key cannot hold matches nothing.
+		ord, ok := s.key.OrdinalOf(bd.Value)
+		if !ok {
+			s.tightenLo(1)
+			s.tightenHi(0)
+			continue
+		}
+		switch bd.Op {
+		case pred.EQ:
+			s.tightenLo(ord)
+			s.tightenHi(ord + 1)
+		case pred.LT:
+			s.tightenHi(ord)
+		case pred.LE:
+			s.tightenHi(ord + 1)
+		case pred.GT:
+			s.tightenLo(ord + 1)
+		case pred.GE:
+			s.tightenLo(ord)
+		}
+	}
 	d := seg.DynEq
 	switch {
 	case d == nil:
@@ -192,6 +224,18 @@ func (s *boundSegment) bind(g *storage.Graph, seg *Segment) {
 		s.sameKey, s.dynSlot = true, d.Slot
 	default:
 		s.dyn = pred.BindOperand(g, d.ref())
+	}
+}
+
+func (s *boundSegment) tightenLo(ord uint64) {
+	if !s.hasLo || ord > s.lo {
+		s.lo, s.hasLo = ord, true
+	}
+}
+
+func (s *boundSegment) tightenHi(ord uint64) {
+	if !s.hasHi || ord < s.hi {
+		s.hi, s.hasHi = ord, true
 	}
 }
 

@@ -309,44 +309,23 @@ func (pl *planner) buildSegment(st *state, d idxDesc, qts []qterm, w int, alread
 		if qt.qpred >= 0 && already[qt.qpred] {
 			continue
 		}
-		ord, ok := index.OrdinalOfValue(pl.g, k0, t.Const)
-		if !ok {
+		// The value stays on the segment; each pipeline maps it to an
+		// ordinal in its own snapshot (exec.boundSegment).
+		if _, ok := index.OrdinalOfValue(pl.g, k0, t.Const); !ok {
 			continue
 		}
 		switch t.Op {
 		case pred.EQ:
-			tightenLo(&seg, ord)
-			tightenHi(&seg, ord+1)
 			eq = true
-		case pred.LT:
-			tightenHi(&seg, ord)
-		case pred.LE:
-			tightenHi(&seg, ord+1)
-		case pred.GT:
-			tightenLo(&seg, ord+1)
-		case pred.GE:
-			tightenLo(&seg, ord)
+		case pred.LT, pred.LE, pred.GT, pred.GE:
 		default:
 			continue
 		}
+		seg.Bounds = append(seg.Bounds, exec.Bound{Op: t.Op, Value: t.Const})
 		used = append(used, qt)
 	}
 	if len(used) == 0 {
 		return nil, false, nil
 	}
 	return &seg, eq, used
-}
-
-func tightenLo(s *exec.Segment, ord uint64) {
-	if !s.HasLo || ord > s.Lo {
-		s.Lo = ord
-		s.HasLo = true
-	}
-}
-
-func tightenHi(s *exec.Segment, ord uint64) {
-	if !s.HasHi || ord < s.Hi {
-		s.Hi = ord
-		s.HasHi = true
-	}
 }
