@@ -286,7 +286,9 @@ func (d *Delta) SpliceInto(p *Primary, dir Direction, owner uint32, codes []uint
 	nbrs, eids = nbrs[:0], eids[:0]
 	ri := nextRunMatch(run, 0, codes)
 	var sorts boundSorts
-	sorts.bind(p.g, p.cfg.Sorts)
+	if len(p.cfg.Sorts) > 0 {
+		sorts.bind(p.g, p.cfg.Sorts)
+	}
 	var cb [8]uint16
 	for i := 0; i < n; i++ {
 		nb, e := l.Get(i)
