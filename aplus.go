@@ -149,8 +149,10 @@ type DB struct {
 	// value pins the pool size.
 	Parallelism int
 
-	// MorselSize overrides the scan-range size handed to each worker
-	// (0 = exec.DefaultMorselSize). Exposed for tests and tuning.
+	// MorselSize overrides the scan-range size handed to each worker. 0
+	// sizes morsels to the scanned range, at most exec.DefaultMorselSize,
+	// so that even a read anchored on a few hundred vertex IDs splits
+	// across every worker. Exposed for tests and tuning.
 	MorselSize int
 
 	// MergeThreshold overrides the number of pending delta ops after which

@@ -206,6 +206,9 @@ func (db *DB) beginGoverned(ctx context.Context, limits QueryLimits) (*governedR
 	}
 	if ctx.Done() != nil || !limits.unlimited() {
 		run.gov = &exec.Governor{MaxICost: limits.MaxICost, MaxRows: limits.MaxRows}
+		// The workers check the deadline themselves: the watcher below may
+		// not get a processor until busy workers finish.
+		run.gov.Deadline, _ = ctx.Deadline()
 		run.stopW = watchContext(ctx, run.gov)
 	}
 	return run, ctx, nil
@@ -234,7 +237,8 @@ func (run *governedRun) finish() {
 	}
 }
 
-// watchContext relays ctx's cancellation into the governor from a watcher
+// watchContext relays ctx's cancellation (and, as a backstop to the
+// workers' own checks, its deadline) into the governor from a watcher
 // goroutine and returns its reaper. The goroutine exists only while the
 // query runs; the reaper must be called (and is idempotent via finish's
 // single call site) before the query returns so no goroutine outlives it.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
+	"time"
 )
 
 // StopReason says why a Governor stopped a query execution early.
@@ -71,6 +72,10 @@ type Governor struct {
 	// CheckEvery overrides the number of sink tuples between governor polls
 	// (0 = DefaultCheckEvery).
 	CheckEvery int
+	// Deadline, when non-zero, stops the execution with StopTimeout once it
+	// passes. Workers read the clock at every poll, so the deadline holds
+	// even when no other goroutine can get a processor to trip it.
+	Deadline time.Time
 
 	stop   atomic.Bool
 	reason atomic.Int32
@@ -121,6 +126,13 @@ func (g *Governor) addICost(delta int64) {
 func (g *Governor) addRows(delta int64) {
 	if t := g.rows.Add(delta); g.MaxRows > 0 && t > g.MaxRows {
 		g.Trip(StopRows)
+	}
+}
+
+// checkDeadline trips StopTimeout once the deadline has passed.
+func (g *Governor) checkDeadline() {
+	if !g.Deadline.IsZero() && time.Now().After(g.Deadline) {
+		g.Trip(StopTimeout)
 	}
 }
 

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 
 	"github.com/aplusdb/aplus/internal/index"
@@ -24,14 +26,32 @@ type Op interface {
 }
 
 // ScanVertexOp binds a vertex slot by scanning the vertex table (or jumping
-// straight to an exact ID). Terms are vertex-local predicates evaluated
-// during the scan.
+// straight to an exact ID). IDs, when set, limits the scan to a range of
+// vertex IDs. Terms are vertex-local predicates evaluated during the scan.
 type ScanVertexOp struct {
 	Slot     int
 	HasLabel bool
 	Label    storage.LabelID
 	ExactID  *storage.VertexID
+	IDs      *IDRange
 	Terms    []CompiledTerm
+}
+
+// IDRange is the half-open vertex-ID range [Lo, Hi) a scan reads. The
+// bounds are query constants, so either may lie outside the vertex table;
+// a scan clamps them against the graph it runs on.
+type IDRange struct {
+	Lo, Hi int64
+}
+
+func (r *IDRange) contains(id int64) bool { return r.Lo <= id && id < r.Hi }
+
+// String renders the range; an upper bound of math.MaxInt64 is open.
+func (r *IDRange) String() string {
+	if r.Hi == math.MaxInt64 {
+		return fmt.Sprintf("[%d,inf)", r.Lo)
+	}
+	return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi)
 }
 
 func (o *ScanVertexOp) bind(g *storage.Graph, sc *opScratch) { sc.terms = bindTerms(g, o.Terms) }
@@ -40,20 +60,40 @@ func (o *ScanVertexOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() b
 	return o.runRange(rt, sc, b, 0, o.tableSize(rt), next)
 }
 
+// span returns the positions [lo, hi) of the scanned table that the ID
+// range selects: vertex IDs themselves, or, when a label is fixed, indexes
+// into the per-label vertex list (sorted by ascending ID). Without a range
+// it is the whole table.
+func (o *ScanVertexOp) span(g *storage.Graph) (lo, hi int) {
+	if o.HasLabel {
+		vs := g.VerticesWithLabel(o.Label)
+		if o.IDs == nil {
+			return 0, len(vs)
+		}
+		lo = sort.Search(len(vs), func(i int) bool { return int64(vs[i]) >= o.IDs.Lo })
+		hi = sort.Search(len(vs), func(i int) bool { return int64(vs[i]) >= o.IDs.Hi })
+	} else {
+		n := int64(g.NumVertices())
+		if o.IDs == nil {
+			return 0, int(n)
+		}
+		lo, hi = int(min(max(o.IDs.Lo, 0), n)), int(min(max(o.IDs.Hi, 0), n))
+	}
+	return lo, max(lo, hi)
+}
+
 // tableSize reports the number of scan positions (partitionableOp).
 func (o *ScanVertexOp) tableSize(rt *Runtime) int {
 	if o.ExactID != nil {
 		return 1
 	}
-	if o.HasLabel {
-		return len(rt.G.VerticesWithLabel(o.Label))
-	}
-	return rt.G.NumVertices()
+	lo, hi := o.span(rt.G)
+	return hi - lo
 }
 
-// runRange scans positions [lo, hi) of the vertex table — or, when a label
-// is fixed, of the per-label vertex list, so unlabeled vertices are never
-// touched (partitionableOp).
+// runRange scans positions [lo, hi) of the ID range — of the vertex table,
+// or, when a label is fixed, of the per-label vertex list, so unlabeled
+// vertices are never touched (partitionableOp).
 func (o *ScanVertexOp) runRange(rt *Runtime, sc *opScratch, b *Binding, lo, hi int, next func() bool) bool {
 	tryOne := func(v storage.VertexID) bool {
 		b.V[o.Slot] = v
@@ -72,8 +112,13 @@ func (o *ScanVertexOp) runRange(rt *Runtime, sc *opScratch, b *Binding, lo, hi i
 		if o.HasLabel && rt.G.VertexLabel(*o.ExactID) != o.Label {
 			return true
 		}
+		if o.IDs != nil && !o.IDs.contains(int64(*o.ExactID)) {
+			return true
+		}
 		return tryOne(*o.ExactID)
 	}
+	base, _ := o.span(rt.G)
+	lo, hi = base+lo, base+hi
 	if o.HasLabel {
 		for _, v := range rt.G.VerticesWithLabel(o.Label)[lo:hi] {
 			if !tryOne(v) {
@@ -94,6 +139,9 @@ func (o *ScanVertexOp) explain() string {
 	s := fmt.Sprintf("SCAN v%d", o.Slot)
 	if o.ExactID != nil {
 		s += fmt.Sprintf(" id=%d", *o.ExactID)
+	}
+	if o.IDs != nil {
+		s += " id=" + o.IDs.String()
 	}
 	if o.HasLabel {
 		s += fmt.Sprintf(" label=%d", o.Label)

@@ -7,11 +7,28 @@ import (
 	"time"
 )
 
-// DefaultMorselSize is the number of root-scan positions handed to a worker
-// at a time. Morsels are small enough to balance skewed pipelines (one hub
-// vertex can dominate a morsel) and large enough to amortize the shared
-// cursor increment.
+// DefaultMorselSize is the largest number of root-scan positions handed to
+// a worker at a time, and the morsel size of a table too large to split
+// finer (see morselSize). Morsels are small enough to balance skewed
+// pipelines (one hub vertex can dominate a morsel) and large enough to
+// amortize the shared cursor increment.
 const DefaultMorselSize = 1024
+
+// morselsPerWorker is how many morsels per worker an automatically sized
+// morsel aims for, so that every worker stays busy until the scan's end
+// even when a few morsels carry most of the work.
+const morselsPerWorker = 32
+
+// morselSize sizes the morsels of a scan over size positions run by
+// workers workers: floor(size / (morselsPerWorker × workers)), clamped to
+// [1, DefaultMorselSize]. Rounding down makes at least morselsPerWorker
+// morsels per worker whenever the table has that many positions and the cap
+// allows, so an ID-anchored scan of a few hundred positions still splits
+// across every worker.
+func morselSize(size, workers int) int {
+	per := morselsPerWorker * max(workers, 1)
+	return min(max(size/per, 1), DefaultMorselSize)
+}
 
 // partitionableOp is implemented by root operators whose input is a dense
 // table of scan positions that can be split into independent ranges
@@ -36,8 +53,8 @@ var (
 type ParallelOptions struct {
 	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// MorselSize is the scan-range size per work unit; <= 0 means
-	// DefaultMorselSize.
+	// MorselSize is the scan-range size per work unit; <= 0 means sized to
+	// the scanned range, at most DefaultMorselSize (see morselSize).
 	MorselSize int
 	// OnWorkerStart, when set, runs at the start of every worker goroutine
 	// and returns a teardown called when the worker exits. Callers use it to
@@ -62,9 +79,10 @@ func (o ParallelOptions) workers() int {
 	return o.Workers
 }
 
-func (o ParallelOptions) morsel() int {
+// morsel returns the morsel size for a scan of size positions.
+func (o ParallelOptions) morsel(size, workers int) int {
 	if o.MorselSize <= 0 {
-		return DefaultMorselSize
+		return morselSize(size, workers)
 	}
 	return o.MorselSize
 }
@@ -176,11 +194,13 @@ func (p *Plan) executeSerial(rt *Runtime, o ParallelOptions, emit func(*Binding)
 // When the plan has a steal point (see steal.go) and stealing is enabled,
 // workers additionally publish oversized op-1 adjacency tails as sub-
 // morsels to a shared lock-free queue and drain it when the cursor runs
-// dry: morselActive counts workers inside root ranges (the only publishers),
+// dry: the queue counts workers inside root ranges (the only publishers),
 // so once the cursor is exhausted, the counter is zero, and a pop comes up
-// empty, no task can ever appear again and the worker may park.
+// empty, no task can ever appear again and the worker may park. Until then
+// a drained worker blocks in stealQueue.wait, woken by every publish, by
+// the end of the last active root range, and by a stop.
 //
-// Worker panics are recovered inside the worker, park the pool via stopAll,
+// Worker panics are recovered inside the worker, park the pool via halt,
 // and surface as the returned error (first panic wins). Per-worker metric
 // counters accumulated before a panic or a governor trip are still merged
 // into rt, so aborted executions report partial profiled metrics.
@@ -193,7 +213,7 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 		return 0, AggResult{}, false, nil
 	}
 	size := root.tableSize(rt)
-	morsel := o.morsel()
+	morsel := o.morsel(size, workers)
 	numMorsels := (size + morsel - 1) / morsel
 	if workers > numMorsels {
 		workers = numMorsels
@@ -210,13 +230,20 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 	counts := make([]int64, workers)
 	aggs := make([]AggResult, workers)
 	var (
-		cursor       atomic.Int64
-		morselActive atomic.Int64
-		stopAll      atomic.Bool
-		wg           sync.WaitGroup
-		errMu        sync.Mutex
-		poolErr      error
+		cursor  atomic.Int64
+		stopAll atomic.Bool
+		wg      sync.WaitGroup
+		errMu   sync.Mutex
+		poolErr error
 	)
+	// halt parks the pool: running workers see the flag at their next
+	// check, and drained workers blocked in sq.wait are woken to see it.
+	halt := func() {
+		stopAll.Store(true)
+		if sq != nil {
+			sq.wake()
+		}
+	}
 	rts := make([]*Runtime, workers)
 	for w := 0; w < workers; w++ {
 		wrt := &Runtime{Store: rt.Store, G: rt.G, Delta: rt.Delta, Gov: rt.Gov}
@@ -237,7 +264,7 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 			// coordinating goroutine instead of crashing the process.
 			defer func() {
 				if r := recover(); r != nil {
-					stopAll.Store(true)
+					halt()
 					errMu.Lock()
 					if poolErr == nil {
 						poolErr = newPanicError(r)
@@ -264,31 +291,37 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 				rootNext = sr.rootNext
 			}
 			drain := false
-			spins := 0
 			for !stopAll.Load() {
 				// Stolen sub-morsels take priority over fresh morsels: they
 				// bound the queue's occupancy and finish hub tails sooner.
 				if sr != nil {
 					if sq.tryPop(pl.b, &sr.snbrs, &sr.seids) {
-						spins = 0
 						if !sr.runStolen() {
-							stopAll.Store(true)
+							halt()
 							break
 						}
 						// Task boundary: same governance poll as a morsel.
-						if pl.govEvery != 0 && !pl.govFlush() {
-							stopAll.Store(true)
+						if pl.govEvery != 0 && !pl.govPoll() {
+							halt()
 							break
 						}
 						continue
 					}
 				}
 				if !drain {
+					if sr != nil {
+						// Root ranges are the only publishers. Entering
+						// before drawing from the cursor means a worker that
+						// finds the cursor exhausted sees every range still
+						// running.
+						sq.enter()
+					}
 					m := int(cursor.Add(1)) - 1
 					if m >= numMorsels {
 						if sr == nil {
 							break
 						}
+						sq.leave()
 						drain = true
 						continue
 					}
@@ -296,11 +329,6 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 					hi := lo + morsel
 					if hi > size {
 						hi = size
-					}
-					if sr != nil {
-						// Root ranges are the only publishers; the counter
-						// lets drained workers detect quiescence.
-						morselActive.Add(1)
 					}
 					var ok bool
 					if pl.tr != nil {
@@ -320,19 +348,19 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 						ok = root.runRange(wrt, pl.scratch.op(0), pl.b, lo, hi, rootNext)
 					}
 					if sr != nil {
-						morselActive.Add(-1)
+						sq.leave()
 					}
 					if !ok {
 						// The pipeline aborted: emit returned false, or a mid-
 						// morsel governor poll tripped. Park the whole pool.
-						stopAll.Store(true)
+						halt()
 						break
 					}
 					// Morsel boundary: publish this worker's counter deltas and
 					// poll the governor, bounding cancellation latency by one
 					// morsel of work.
-					if pl.govEvery != 0 && !pl.govFlush() {
-						stopAll.Store(true)
+					if pl.govEvery != 0 && !pl.govPoll() {
+						halt()
 						break
 					}
 					continue
@@ -341,28 +369,25 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 				// ranges may still publish. Once none remain, their pushes
 				// are visible (the decrement orders after them), so a final
 				// empty pop proves the queue stays empty forever.
-				if morselActive.Load() == 0 {
+				if sq.quiet() {
 					if sq.tryPop(pl.b, &sr.snbrs, &sr.seids) {
 						if !sr.runStolen() {
-							stopAll.Store(true)
+							halt()
 							break
 						}
-						if pl.govEvery != 0 && !pl.govFlush() {
-							stopAll.Store(true)
+						if pl.govEvery != 0 && !pl.govPoll() {
+							halt()
 							break
 						}
 						continue
 					}
 					break
 				}
-				// Bounded backoff: yield first (steal pickup stays prompt on
-				// idle cores), then nap briefly so spinning drainers don't
-				// starve the still-working owners on oversubscribed machines.
-				if spins++; spins < 64 {
-					runtime.Gosched()
-				} else {
-					time.Sleep(20 * time.Microsecond)
-				}
+				// Block until a publish, the end of the last root range, or a
+				// stop. A timed nap would not do: the runtime rounds sleeps
+				// under a millisecond up to one, so the query's end would wait
+				// for a sleeping drainer.
+				sq.wait(&stopAll)
 			}
 			// Publish any tail counters so the governor's totals reflect the
 			// work actually done (partial metrics on aborted executions).

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -98,10 +99,11 @@ func (pl *pipeline) beginRun() {
 }
 
 // govFlush publishes the pipeline's locally accumulated i-cost and row
-// counters to the governor, enforces the budgets, and reports whether the
-// execution may continue. It performs no allocations.
+// counters to the governor, enforces the budgets and the deadline, and
+// reports whether the execution may continue. It performs no allocations.
 func (pl *pipeline) govFlush() bool {
 	g := pl.rt.Gov
+	g.checkDeadline()
 	pl.govTuples = 0
 	if ic := pl.rt.ICost - pl.govICostBase; ic != 0 {
 		pl.govICostBase = pl.rt.ICost
@@ -112,6 +114,15 @@ func (pl *pipeline) govFlush() bool {
 		pl.govRows = 0
 	}
 	return !g.stop.Load()
+}
+
+// govPoll is govFlush at a point where the execution may pause: it first
+// yields the processor, so a goroutine that would trip the governor (a
+// context watcher, a caller canceling from a timer) gets to run even when
+// every processor is busy with a worker.
+func (pl *pipeline) govPoll() bool {
+	runtime.Gosched()
+	return pl.govFlush()
 }
 
 // maxCachedPipelines bounds the per-Runtime pipeline cache. The working
@@ -217,7 +228,7 @@ func (pl *pipeline) sink() bool {
 	if pl.govTuples < pl.govEvery {
 		return true
 	}
-	return pl.govFlush()
+	return pl.govPoll()
 }
 
 // sinkTraced is sink with span recording: the caller (stepTraced) measures
@@ -247,7 +258,7 @@ func (pl *pipeline) sinkTraced() bool {
 	if pl.govTuples < pl.govEvery {
 		return true
 	}
-	return pl.govFlush()
+	return pl.govPoll()
 }
 
 // Execute streams complete matches into emit; returning false from emit

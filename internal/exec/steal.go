@@ -18,6 +18,7 @@ package exec
 // PredEvals stay bit-identical to the unstolen run at any worker count.
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,21 +57,37 @@ type stealCell struct {
 // cell carries a sequence number that encodes whether it is free for the
 // next producer or holds data for the next consumer, so both ends proceed
 // with one CAS and no locks.
+//
+// active counts the workers inside root ranges, the only publishers. A
+// worker with nothing to pop blocks on cond while active is non-zero;
+// waiters lets publishers and the last leaver skip the lock when nobody
+// waits. A waiter counts itself before it checks the queue and active, and
+// a waker checks waiters after its push or decrement, so at least one of
+// the two sees the other and no wake-up is lost.
 type stealQueue struct {
 	cells []stealCell
 	mask  uint64
 	enq   atomic.Uint64
 	deq   atomic.Uint64
+
+	active  atomic.Int64
+	waiters atomic.Int64
+	mu      sync.Mutex
+	cond    sync.Cond
 }
 
 // newStealQueue builds a queue of capacity cells (must be a power of two)
-// whose inline bindings hold numV vertex and numE edge slots.
+// whose inline bindings hold numV vertex and numE edge slots, carved from
+// two flat arrays so that a query pays four allocations, not 2×capacity.
 func newStealQueue(capacity, numV, numE int) *stealQueue {
 	q := &stealQueue{cells: make([]stealCell, capacity), mask: uint64(capacity - 1)}
+	q.cond.L = &q.mu
+	vs := make([]storage.VertexID, capacity*numV)
+	es := make([]storage.EdgeID, capacity*numE)
 	for i := range q.cells {
 		q.cells[i].seq.Store(uint64(i))
-		q.cells[i].v = make([]storage.VertexID, numV)
-		q.cells[i].e = make([]storage.EdgeID, numE)
+		q.cells[i].v = vs[i*numV : (i+1)*numV : (i+1)*numV]
+		q.cells[i].e = es[i*numE : (i+1)*numE : (i+1)*numE]
 	}
 	return q
 }
@@ -128,6 +145,50 @@ func (q *stealQueue) tryPop(b *Binding, nbrs *[]uint32, eids *[]uint64) bool {
 			pos = q.deq.Load()
 		}
 	}
+}
+
+// empty reports whether the oldest cell holds no published task. A pop in
+// progress may make it report a task that is already gone; callers retry.
+func (q *stealQueue) empty() bool {
+	pos := q.deq.Load()
+	return int64(q.cells[pos&q.mask].seq.Load()-(pos+1)) < 0
+}
+
+// enter counts a worker into a root range, where it may publish.
+func (q *stealQueue) enter() { q.active.Add(1) }
+
+// leave counts a worker out of its root range; the last one out wakes the
+// waiters, which may then finish.
+func (q *stealQueue) leave() {
+	if q.active.Add(-1) == 0 {
+		q.wake()
+	}
+}
+
+// quiet reports whether no worker is inside a root range, so nothing more
+// can be published.
+func (q *stealQueue) quiet() bool { return q.active.Load() == 0 }
+
+// wake releases every worker blocked in wait.
+func (q *stealQueue) wake() {
+	if q.waiters.Load() == 0 {
+		return
+	}
+	q.mu.Lock()
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+// wait blocks until the queue holds a task, no root range is active, or
+// stop is set. Whoever sets stop must call wake afterwards.
+func (q *stealQueue) wait(stop *atomic.Bool) {
+	q.mu.Lock()
+	q.waiters.Add(1)
+	for q.empty() && !q.quiet() && !stop.Load() {
+		q.cond.Wait()
+	}
+	q.waiters.Add(-1)
+	q.mu.Unlock()
 }
 
 // stealPoint reports the plan's stealable operator: operator 1 when it is a
@@ -215,6 +276,7 @@ func (s *stealRun) extendWork() bool {
 				break
 			}
 		}
+		s.sq.wake()
 	}
 	next := pl.next[2]
 	for i := 0; i < localEnd; i++ {

@@ -269,6 +269,12 @@ func (pl *planner) scanState(i int) *state {
 			st.applied[pi] = true
 			continue
 		}
+		if prop == pred.PropID && p.Const.Kind == storage.KindInt && narrowIDs(op, p.Op, p.Const.I) {
+			// The range replaces the term, but the estimate is the term's.
+			st.card *= termSelectivity(p.Op)
+			st.applied[pi] = true
+			continue
+		}
 		op.Terms = append(op.Terms, exec.CompiledTerm{
 			Left: exec.VertexOperand(i, prop), Op: p.Op, Right: exec.ConstOperand(p.Const),
 		})
@@ -280,6 +286,37 @@ func (pl *planner) scanState(i int) *state {
 		st.card = 1
 	}
 	return st
+}
+
+// narrowIDs intersects the scan's vertex-ID range with "ID op c" and
+// reports whether op is an ordering comparison it could absorb. The range
+// starts as [0, MaxInt64); the scan clamps it to the graph it runs on, so a
+// cached plan stays right as vertices are added.
+func narrowIDs(op *exec.ScanVertexOp, o pred.Op, c int64) bool {
+	if o != pred.LT && o != pred.LE && o != pred.GT && o != pred.GE {
+		return false
+	}
+	if op.IDs == nil {
+		op.IDs = &exec.IDRange{Lo: 0, Hi: math.MaxInt64}
+	}
+	r := op.IDs
+	switch o {
+	case pred.LT:
+		r.Hi = min(r.Hi, c)
+	case pred.LE:
+		if c < math.MaxInt64 {
+			r.Hi = min(r.Hi, c+1)
+		}
+	case pred.GT:
+		if c == math.MaxInt64 {
+			r.Lo = math.MaxInt64
+		} else {
+			r.Lo = max(r.Lo, c+1)
+		}
+	case pred.GE:
+		r.Lo = max(r.Lo, c)
+	}
+	return true
 }
 
 // scanEdgeState builds an initial state anchored at a query edge with an
