@@ -15,8 +15,8 @@ func TestCloseEdgeOpSortedAndUnsorted(t *testing.T) {
 		plan := &Plan{
 			NumV: 2, NumE: 1,
 			Ops: []Op{
-				&ScanVertexOp{Slot: 0, ExactID: vptr(0)},
-				&ScanVertexOp{Slot: 1, ExactID: vptr(3)},
+				&ScanVertexOp{Slot: 0, IDs: exactID(0)},
+				&ScanVertexOp{Slot: 1, IDs: exactID(3)},
 				&CloseEdgeOp{
 					List: ListRef{
 						Kind: ListPrimary, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0,
@@ -51,8 +51,8 @@ func TestCloseEdgeOpParallelEdges(t *testing.T) {
 	plan := &Plan{
 		NumV: 2, NumE: 1,
 		Ops: []Op{
-			&ScanVertexOp{Slot: 0, ExactID: vptr(0)},
-			&ScanVertexOp{Slot: 1, ExactID: vptr(1)},
+			&ScanVertexOp{Slot: 0, IDs: exactID(0)},
+			&ScanVertexOp{Slot: 1, IDs: exactID(1)},
 			&CloseEdgeOp{
 				List: ListRef{
 					Kind: ListPrimary, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0,
@@ -130,7 +130,7 @@ func TestDynamicSegment(t *testing.T) {
 	plan := &Plan{
 		NumV: 2, NumE: 1,
 		Ops: []Op{
-			&ScanVertexOp{Slot: 0, ExactID: vptr(2)}, // v3, city BOS
+			&ScanVertexOp{Slot: 0, IDs: exactID(2)}, // v3, city BOS
 			&ExtendIntersectOp{TargetSlot: 1, Lists: []ListRef{{
 				Kind: ListVP, VP: vp, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0,
 				Seg:    &Segment{Key: index.SortKey{Var: 2, Prop: storage.PropCity}, DynEq: &dyn},
@@ -180,7 +180,7 @@ func TestDynamicSegmentNullAnchor(t *testing.T) {
 		plan := &Plan{
 			NumV: 2, NumE: 1,
 			Ops: []Op{
-				&ScanVertexOp{Slot: 0, ExactID: vptr(c.anchor)},
+				&ScanVertexOp{Slot: 0, IDs: exactID(c.anchor)},
 				&ExtendIntersectOp{TargetSlot: 1, Lists: []ListRef{{
 					Kind: ListVP, VP: vp, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0,
 					Seg:    &Segment{Key: city, DynEq: &dyn},

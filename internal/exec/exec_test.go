@@ -105,8 +105,8 @@ func TestIntersectParallelEdges(t *testing.T) {
 	plan := &Plan{
 		NumV: 3, NumE: 2,
 		Ops: []Op{
-			&ScanVertexOp{Slot: 0, ExactID: vptr(0)},
-			&ScanVertexOp{Slot: 1, ExactID: vptr(1)},
+			&ScanVertexOp{Slot: 0, IDs: exactID(0)},
+			&ScanVertexOp{Slot: 1, IDs: exactID(1)},
 			&ExtendIntersectOp{TargetSlot: 2, Lists: []ListRef{
 				{Kind: ListPrimary, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0},
 				{Kind: ListPrimary, Dir: index.FW, OwnerVertexSlot: 1, EdgeSlot: 1},
@@ -141,7 +141,7 @@ func TestSegmentFetch(t *testing.T) {
 	plan := &Plan{
 		NumV: 2, NumE: 1,
 		Ops: []Op{
-			&ScanVertexOp{Slot: 0, ExactID: vptr(4)}, // v5
+			&ScanVertexOp{Slot: 0, IDs: exactID(4)}, // v5
 			&ExtendIntersectOp{TargetSlot: 1, Lists: []ListRef{ref}},
 		},
 	}
@@ -180,7 +180,7 @@ func TestMultiExtendSameCity(t *testing.T) {
 	plan := &Plan{
 		NumV: 3, NumE: 2,
 		Ops: []Op{
-			&ScanVertexOp{Slot: 0, ExactID: vptr(0)}, // a1 = v1
+			&ScanVertexOp{Slot: 0, IDs: exactID(0)}, // a1 = v1
 			&MultiExtendOp{Key: cityKey, Groups: []MEGroup{
 				{TargetSlot: 1, Lists: []ListRef{{Kind: ListVP, VP: vp, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0, Expand: ExpandChoices(nil, vp.LevelCards(index.FW))}}},
 				{TargetSlot: 2, Lists: []ListRef{{Kind: ListVP, VP: vp, Dir: index.BW, OwnerVertexSlot: 0, EdgeSlot: 1, Expand: ExpandChoices(nil, vp.LevelCards(index.BW))}}},
@@ -232,8 +232,8 @@ func TestMultiExtendThreeWay(t *testing.T) {
 	plan := &Plan{
 		NumV: 4, NumE: 2,
 		Ops: []Op{
-			&ScanVertexOp{Slot: 0, ExactID: vptr(4)},
-			&ScanVertexOp{Slot: 1, ExactID: vptr(0)},
+			&ScanVertexOp{Slot: 0, IDs: exactID(4)},
+			&ScanVertexOp{Slot: 1, IDs: exactID(0)},
 			&MultiExtendOp{Key: cityKey, Groups: []MEGroup{
 				{TargetSlot: 2, Lists: []ListRef{{Kind: ListVP, VP: vp, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0, Expand: ExpandChoices(nil, vp.LevelCards(index.FW))}}},
 				{TargetSlot: 3, Lists: []ListRef{{Kind: ListVP, VP: vp, Dir: index.FW, OwnerVertexSlot: 1, EdgeSlot: 1, Expand: ExpandChoices(nil, vp.LevelCards(index.FW))}}},
@@ -312,7 +312,7 @@ func TestFilterOp(t *testing.T) {
 	plan := &Plan{
 		NumV: 2, NumE: 1,
 		Ops: []Op{
-			&ScanVertexOp{Slot: 0, ExactID: vptr(4)},
+			&ScanVertexOp{Slot: 0, IDs: exactID(4)},
 			&ExtendIntersectOp{TargetSlot: 1, Lists: []ListRef{{
 				Kind: ListPrimary, Dir: index.FW, OwnerVertexSlot: 0, EdgeSlot: 0,
 			}}},
@@ -408,4 +408,4 @@ func TestExecuteEarlyStop(t *testing.T) {
 	}
 }
 
-func vptr(v storage.VertexID) *storage.VertexID { return &v }
+func exactID(v storage.VertexID) *IDRange { return &IDRange{Lo: int64(v), Hi: int64(v) + 1} }

@@ -25,14 +25,13 @@ type Op interface {
 	explain() string
 }
 
-// ScanVertexOp binds a vertex slot by scanning the vertex table (or jumping
-// straight to an exact ID). IDs, when set, limits the scan to a range of
-// vertex IDs. Terms are vertex-local predicates evaluated during the scan.
+// ScanVertexOp binds a vertex slot by scanning the vertex table. IDs, when
+// set, limits the scan to a range of vertex IDs (one ID for an exact-ID
+// anchor). Terms are vertex-local predicates evaluated during the scan.
 type ScanVertexOp struct {
 	Slot     int
 	HasLabel bool
 	Label    storage.LabelID
-	ExactID  *storage.VertexID
 	IDs      *IDRange
 	Terms    []CompiledTerm
 }
@@ -44,11 +43,13 @@ type IDRange struct {
 	Lo, Hi int64
 }
 
-func (r *IDRange) contains(id int64) bool { return r.Lo <= id && id < r.Hi }
-
-// String renders the range; an upper bound of math.MaxInt64 is open.
+// String renders the range: a single ID as itself, and an upper bound of
+// math.MaxInt64 as open.
 func (r *IDRange) String() string {
-	if r.Hi == math.MaxInt64 {
+	switch r.Hi {
+	case r.Lo + 1:
+		return fmt.Sprint(r.Lo)
+	case math.MaxInt64:
 		return fmt.Sprintf("[%d,inf)", r.Lo)
 	}
 	return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi)
@@ -84,9 +85,6 @@ func (o *ScanVertexOp) span(g *storage.Graph) (lo, hi int) {
 
 // tableSize reports the number of scan positions (partitionableOp).
 func (o *ScanVertexOp) tableSize(rt *Runtime) int {
-	if o.ExactID != nil {
-		return 1
-	}
 	lo, hi := o.span(rt.G)
 	return hi - lo
 }
@@ -101,21 +99,6 @@ func (o *ScanVertexOp) runRange(rt *Runtime, sc *opScratch, b *Binding, lo, hi i
 			return true
 		}
 		return next()
-	}
-	if o.ExactID != nil {
-		if lo > 0 || hi < 1 {
-			return true
-		}
-		if int(*o.ExactID) >= rt.G.NumVertices() {
-			return true
-		}
-		if o.HasLabel && rt.G.VertexLabel(*o.ExactID) != o.Label {
-			return true
-		}
-		if o.IDs != nil && !o.IDs.contains(int64(*o.ExactID)) {
-			return true
-		}
-		return tryOne(*o.ExactID)
 	}
 	base, _ := o.span(rt.G)
 	lo, hi = base+lo, base+hi
@@ -137,9 +120,6 @@ func (o *ScanVertexOp) runRange(rt *Runtime, sc *opScratch, b *Binding, lo, hi i
 
 func (o *ScanVertexOp) explain() string {
 	s := fmt.Sprintf("SCAN v%d", o.Slot)
-	if o.ExactID != nil {
-		s += fmt.Sprintf(" id=%d", *o.ExactID)
-	}
 	if o.IDs != nil {
 		s += " id=" + o.IDs.String()
 	}

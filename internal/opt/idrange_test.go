@@ -20,7 +20,8 @@ type idBound struct {
 // TestIDRangeScanParity checks that a scan narrowed to a vertex-ID range
 // answers like the brute-force oracle for every kind of bound, with and
 // without a label, at every worker count and morsel size, and that count
-// and i-cost do not depend on the worker count.
+// and i-cost do not depend on the worker count. Two different exact IDs
+// must match nothing, not the last one.
 func TestIDRangeScanParity(t *testing.T) {
 	const nv = 90
 	g := randomGraph(nv, 600, 2, 2, 7)
@@ -38,6 +39,11 @@ func TestIDRangeScanParity(t *testing.T) {
 		"below-0":  {{pred.LT, -3}},
 		"past-end": {{pred.GE, 70}, {pred.LT, 5000}},
 		"empty":    {{pred.GT, 40}, {pred.LT, 35}},
+		"eq":       {{pred.EQ, 17}},
+		"eq-in":    {{pred.EQ, 17}, {pred.LT, 30}},
+		"eq-out":   {{pred.LT, 10}, {pred.EQ, 17}},
+		"eq-eq":    {{pred.EQ, 17}, {pred.EQ, 18}},
+		"eq-past":  {{pred.EQ, 500}},
 	}
 	shapes := []string{
 		"MATCH a-[e1]->b-[e2]->c",

@@ -261,17 +261,14 @@ func (pl *planner) scanState(i int) *state {
 			continue
 		}
 		prop := normalizeProp(p.LeftProp)
-		if prop == pred.PropID && p.Op == pred.EQ && p.Const.Kind == storage.KindInt {
-			v := storage.VertexID(p.Const.I)
-			op.ExactID = &v
-			st.cost = 1
-			st.card = 1
-			st.applied[pi] = true
-			continue
-		}
 		if prop == pred.PropID && p.Const.Kind == storage.KindInt && narrowIDs(op, p.Op, p.Const.I) {
-			// The range replaces the term, but the estimate is the term's.
-			st.card *= termSelectivity(p.Op)
+			if p.Op == pred.EQ {
+				st.cost = 1
+				st.card = 1
+			} else {
+				// The range replaces the term; the estimate is the term's.
+				st.card *= termSelectivity(p.Op)
+			}
 			st.applied[pi] = true
 			continue
 		}
@@ -288,31 +285,32 @@ func (pl *planner) scanState(i int) *state {
 	return st
 }
 
-// narrowIDs intersects the scan's vertex-ID range with "ID op c" and
-// reports whether op is an ordering comparison it could absorb. The range
-// starts as [0, MaxInt64); the scan clamps it to the graph it runs on, so a
-// cached plan stays right as vertices are added.
+// narrowIDs intersects the scan's vertex-ID range with "ID o c" and
+// reports whether o is a comparison the range can absorb (all but NE). The
+// range starts as [0, MaxInt64); the scan clamps it to the graph it runs
+// on, so a cached plan stays right as vertices are added.
 func narrowIDs(op *exec.ScanVertexOp, o pred.Op, c int64) bool {
-	if o != pred.LT && o != pred.LE && o != pred.GT && o != pred.GE {
+	if o == pred.NE {
 		return false
 	}
 	if op.IDs == nil {
 		op.IDs = &exec.IDRange{Lo: 0, Hi: math.MaxInt64}
 	}
 	r := op.IDs
+	// above is c+1 saturated: no vertex has ID MaxInt64.
+	above := c
+	if c < math.MaxInt64 {
+		above = c + 1
+	}
 	switch o {
+	case pred.EQ:
+		r.Lo, r.Hi = max(r.Lo, c), min(r.Hi, above)
 	case pred.LT:
 		r.Hi = min(r.Hi, c)
 	case pred.LE:
-		if c < math.MaxInt64 {
-			r.Hi = min(r.Hi, c+1)
-		}
+		r.Hi = min(r.Hi, above)
 	case pred.GT:
-		if c == math.MaxInt64 {
-			r.Lo = math.MaxInt64
-		} else {
-			r.Lo = max(r.Lo, c+1)
-		}
+		r.Lo = max(r.Lo, above)
 	case pred.GE:
 		r.Lo = max(r.Lo, c)
 	}
