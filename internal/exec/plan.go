@@ -64,12 +64,14 @@ type pipeline struct {
 
 	// Governance state (all zero when rt.Gov is nil): govEvery is the
 	// flush interval in sink tuples, govTuples counts tuples since the last
-	// flush, govRows the rows produced since, and govICostBase the rt.ICost
-	// watermark already published to the governor.
+	// flush, govRows the rows produced since, govICostBase the rt.ICost
+	// watermark already published to the governor, and govYieldAt when the
+	// run started or last yielded at a poll.
 	govEvery     int
 	govTuples    int
 	govRows      int64
 	govICostBase int64
+	govYieldAt   time.Time
 
 	// tr mirrors rt.Trace for the duration of one run (nil = disarmed).
 	// It is re-latched by beginRun so a cached pipeline never keeps tracing
@@ -96,6 +98,7 @@ func (pl *pipeline) beginRun() {
 	pl.govTuples = 0
 	pl.govRows = 0
 	pl.govICostBase = pl.rt.ICost
+	pl.govYieldAt = time.Now()
 }
 
 // govFlush publishes the pipeline's locally accumulated i-cost and row
@@ -116,12 +119,21 @@ func (pl *pipeline) govFlush() bool {
 	return !g.stop.Load()
 }
 
-// govPoll is govFlush at a point where the execution may pause: it first
-// yields the processor, so a goroutine that would trip the governor (a
-// context watcher, a caller canceling from a timer) gets to run even when
-// every processor is busy with a worker.
+// yieldEvery is the least time between two yields of one pipeline at its
+// governance polls: often enough that a goroutine waiting to trip the
+// governor runs within a fraction of a millisecond, rarely enough that a
+// short read never yields.
+const yieldEvery = 200 * time.Microsecond
+
+// govPoll is govFlush at a point where the execution may pause. Once
+// yieldEvery has passed it first yields the processor, so a goroutine that
+// would trip the governor (a context watcher, a caller canceling from a
+// timer) gets to run even when every processor is busy with a worker.
 func (pl *pipeline) govPoll() bool {
-	runtime.Gosched()
+	if now := time.Now(); now.Sub(pl.govYieldAt) >= yieldEvery {
+		runtime.Gosched()
+		pl.govYieldAt = now
+	}
 	return pl.govFlush()
 }
 
